@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Regenerates the experiment artifacts after a change that may move numbers:
-# rebuilds the release preset, runs every experiment bench (E1-E12, E14,
-# E16) plus the microbenchmarks, and refreshes the machine-readable result
-# files (BENCH_micro.json, BENCH_scaleout.json, BENCH_migration.json,
-# BENCH_qos.json, BENCH_nvm.json) at the repository root. BENCH_micro.json and
+# rebuilds the release preset, runs every experiment bench (E1-E14, E16)
+# plus the microbenchmarks, and refreshes the machine-readable result files
+# (BENCH_micro.json, BENCH_scaleout.json, BENCH_migration.json,
+# BENCH_recovery.json, BENCH_qos.json, BENCH_nvm.json) at the repository
+# root. BENCH_micro.json and
 # BENCH_scaleout.json double as the benchmark regression baselines: CI's
 # bench-smoke leg re-measures BM_SimCoreReplay,
 # BM_LargeStoreRandOverwrite/65536, BM_CleaningRelocation, and the

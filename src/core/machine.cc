@@ -244,19 +244,9 @@ AddressSpace& MobileComputer::CreateAddressSpace() {
 }
 
 ReplayReport MobileComputer::RunTrace(const Trace& trace) {
-  // Snapshot per-class and per-tenant device attribution so the report
-  // covers exactly the replay window (machines are reused across traces).
-  struct Snap {
-    uint64_t requests, wait, service;
-  };
-  std::array<Snap, kNumIoPriorities> before;
-  for (int i = 0; i < kNumIoPriorities; ++i) {
-    const IoLaneStats& c = flash_->stats().by_class[i];
-    before[static_cast<size_t>(i)] = {c.requests.value(),
-                                      c.queue_wait_ns.value(),
-                                      c.service_ns.value()};
-  }
-  const TenantLaneTable before_tenants = flash_->stats().by_tenant;
+  // Window the device attribution and read sources to this replay (machines
+  // are reused across traces).
+  const FlashDevice::Stats before = flash_->stats();
   const MemoryFileSystem::Stats& fstats = fs_->stats();
   const uint64_t dram_before = fstats.buffered_read_bytes.value() +
                                fstats.clean_cached_read_bytes.value();
@@ -272,15 +262,12 @@ ReplayReport MobileComputer::RunTrace(const Trace& trace) {
                                nvm_before;
   report.tier_flash_read_bytes =
       fstats.flash_direct_read_bytes.value() - flash_before;
+  const FlashDevice::Stats& after = flash_->stats();
   for (int i = 0; i < kNumIoPriorities; ++i) {
-    const IoLaneStats& c = flash_->stats().by_class[i];
-    const Snap& b = before[static_cast<size_t>(i)];
-    IoLaneStats& out = report.io_by_class[static_cast<size_t>(i)];
-    out.requests.Add(c.requests.value() - b.requests);
-    out.queue_wait_ns.Add(c.queue_wait_ns.value() - b.wait);
-    out.service_ns.Add(c.service_ns.value() - b.service);
+    report.io_by_class[static_cast<size_t>(i)].AddDelta(after.by_class[i],
+                                                        before.by_class[i]);
   }
-  report.io_by_tenant.AddDelta(flash_->stats().by_tenant, before_tenants);
+  report.io_by_tenant.AddDelta(after.by_tenant, before.by_tenant);
   return report;
 }
 

@@ -13,16 +13,17 @@ DiskDevice::DiskDevice(DiskSpec spec, SimClock& clock)
   contents_.assign(capacity_bytes(), 0);
 }
 
-DiskDevice::~DiskDevice() {
-  if (obs_ != nullptr) {
-    obs_->metrics().FlushAndRemoveCollector("disk");
-  }
-}
-
 void DiskDevice::AttachObs(Obs* obs) {
-  if (obs_ != nullptr && obs_ != obs) {
-    obs_->metrics().FlushAndRemoveCollector("disk");
-  }
+  static constexpr CounterField<Stats> kCounters[] = {
+      {"reads", &Stats::reads},
+      {"writes", &Stats::writes},
+      {"seeks", &Stats::seeks},
+      {"seek_ns", &Stats::seek_ns},
+      {"rotation_ns", &Stats::rotation_ns},
+      {"spin_ups", &Stats::spin_ups},
+      {"queue_wait_ns", &Stats::queue_wait_ns},
+  };
+  export_.Attach(obs, "disk", stats_, kCounters);
   obs_ = obs;
   if (obs_ == nullptr) {
     sched_.set_retire_hook(nullptr);
@@ -42,27 +43,6 @@ void DiskDevice::AttachObs(Obs* obs) {
     obs_->tracer().Span(obs_arm_track_, IoOpName(req.op), req.start_time,
                         service, {"bytes", req.bytes},
                         {"wait_ns", static_cast<uint64_t>(wait)});
-  });
-
-  Counter* reads = m.AddCounter("disk/reads");
-  Counter* writes = m.AddCounter("disk/writes");
-  Counter* seeks = m.AddCounter("disk/seeks");
-  Counter* seek_ns = m.AddCounter("disk/seek_ns");
-  Counter* rotation_ns = m.AddCounter("disk/rotation_ns");
-  Counter* spin_ups = m.AddCounter("disk/spin_ups");
-  Counter* queue_wait = m.AddCounter("disk/queue_wait_ns");
-  m.AddCollector("disk", [=, this] {
-    auto mirror = [](Counter* dst, const Counter& src) {
-      dst->Reset();
-      dst->Add(src.value());
-    };
-    mirror(reads, stats_.reads);
-    mirror(writes, stats_.writes);
-    mirror(seeks, stats_.seeks);
-    mirror(seek_ns, stats_.seek_ns);
-    mirror(rotation_ns, stats_.rotation_ns);
-    mirror(spin_ups, stats_.spin_ups);
-    mirror(queue_wait, stats_.queue_wait_ns);
   });
 }
 

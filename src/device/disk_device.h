@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "src/device/specs.h"
+#include "src/obs/stats_export.h"
 #include "src/sim/clock.h"
 #include "src/sim/energy.h"
 #include "src/sim/io_request.h"
@@ -46,9 +47,6 @@ class Obs;
 class DiskDevice {
  public:
   DiskDevice(DiskSpec spec, SimClock& clock);
-  // Flushes and removes this device's metrics collector from any attached
-  // Obs (which routinely outlives the device).
-  ~DiskDevice();
 
   uint64_t capacity_bytes() const { return spec_.capacity_bytes(); }
   uint64_t sector_bytes() const { return spec_.sector_bytes; }
@@ -137,6 +135,7 @@ class DiskDevice {
   int obs_arm_track_ = 0;
   Histogram* obs_wait_hist_ = nullptr;
   Histogram* obs_service_hist_ = nullptr;
+  StatsExport export_;  // Last: flushes while the state above is alive.
 };
 
 }  // namespace ssmc

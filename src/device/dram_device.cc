@@ -25,7 +25,6 @@ Result<Duration> DramDevice::Read(uint64_t addr, std::span<uint8_t> out) {
   }
   const Duration d = spec_.read.LatencyFor(out.size());
   clock_.Advance(d);
-  total_active_ns_ += d;
   energy_.AddActive(active_mw(), d);
   uint64_t pos = addr;
   uint8_t* dst = out.data();
@@ -54,7 +53,6 @@ Result<Duration> DramDevice::Write(uint64_t addr,
   }
   const Duration d = spec_.write.LatencyFor(data.size());
   clock_.Advance(d);
-  total_active_ns_ += d;
   energy_.AddActive(active_mw(), d);
   uint64_t pos = addr;
   const uint8_t* src = data.data();
@@ -76,7 +74,6 @@ Duration DramDevice::ChargeAccess(uint64_t bytes, bool is_write) {
   const MemoryTiming& t = is_write ? spec_.write : spec_.read;
   const Duration d = t.LatencyFor(bytes);
   clock_.Advance(d);
-  total_active_ns_ += d;
   energy_.AddActive(active_mw(), d);
   if (is_write) {
     stats_.writes.Add();
@@ -102,17 +99,6 @@ void DramDevice::ForceContentLoss() {
   }
   contents_lost_ = true;
   stats_.content_losses.Add();
-}
-
-void DramDevice::AccountIdleEnergy() {
-  const Duration now = clock_.now();
-  const Duration window = now - idle_accounted_until_;
-  if (window <= 0) {
-    return;
-  }
-  const Duration idle = std::max<Duration>(0, window - total_active_ns_);
-  energy_.AddIdle(standby_mw(), idle);
-  idle_accounted_until_ = now;
 }
 
 }  // namespace ssmc

@@ -58,8 +58,8 @@ class DramDevice {
   };
   const Stats& stats() const { return stats_; }
   const EnergyMeter& energy() const { return energy_; }
-  Duration total_active_ns() const { return total_active_ns_; }
-  void AccountIdleEnergy();
+  Duration total_active_ns() const { return energy_.active_ns(); }
+  void AccountIdleEnergy() { energy_.SettleIdle(standby_mw(), clock_.now()); }
 
   // An access activates one bank (~1 MiB of array): active draw is the
   // per-megabyte figure for one megabyte.
@@ -84,8 +84,6 @@ class DramDevice {
   std::vector<std::unique_ptr<uint8_t[]>> chunks_;
   Stats stats_;
   EnergyMeter energy_;
-  Duration total_active_ns_ = 0;
-  Duration idle_accounted_until_ = 0;
   bool contents_lost_ = false;
 };
 

@@ -39,7 +39,9 @@
 #include <span>
 #include <vector>
 
+#include "src/device/banked_io.h"
 #include "src/device/specs.h"
+#include "src/obs/stats_export.h"
 #include "src/sim/clock.h"
 #include "src/sim/energy.h"
 #include "src/sim/io_request.h"
@@ -60,15 +62,12 @@ class FlashDevice {
   // capacity_bytes must be a multiple of spec.erase_sector_bytes * banks.
   FlashDevice(FlashSpec spec, uint64_t capacity_bytes, int banks,
               SimClock& clock, uint64_t seed = 1);
-  // Flushes and removes this device's metrics collector from any attached
-  // Obs (which routinely outlives the device).
-  ~FlashDevice();
 
   // --- Geometry ---------------------------------------------------------
   uint64_t capacity_bytes() const { return capacity_; }
   uint64_t sector_bytes() const { return spec_.erase_sector_bytes; }
   uint64_t num_sectors() const { return capacity_ / sector_bytes(); }
-  int num_banks() const { return sched_.num_channels(); }
+  int num_banks() const { return io_.scheduler().num_channels(); }
   uint64_t sectors_per_bank() const { return sectors_per_bank_; }
   int BankOfAddress(uint64_t addr) const;
   int BankOfSector(uint64_t sector) const;
@@ -139,24 +138,26 @@ class FlashDevice {
   // Simulated time at which the given bank becomes free (completion of its
   // last reservation; monotone, like the busy-until timestamp it replaces).
   SimTime BankBusyUntil(int bank) const {
-    return sched_.ChannelBusyUntil(bank);
+    return io_.scheduler().ChannelBusyUntil(bank);
   }
 
   // Request scheduling policy for all banks (default FIFO — byte-identical
   // to the pre-pipeline simulator). Switch requires an idle device.
-  IoSchedPolicy sched_policy() const { return sched_.policy(); }
-  void set_sched_policy(IoSchedPolicy policy) { sched_.set_policy(policy); }
+  IoSchedPolicy sched_policy() const { return io_.scheduler().policy(); }
+  void set_sched_policy(IoSchedPolicy policy) {
+    io_.scheduler().set_policy(policy);
+  }
   // The underlying per-bank scheduler (tests, pipeline introspection).
-  IoScheduler& scheduler() { return sched_; }
+  IoScheduler& scheduler() { return io_.scheduler(); }
 
   // Per-tenant QoS knobs, forwarded to the scheduler: a kWeightedFair share
   // weight and a kTokenBucket byte-rate cap (see io_scheduler.h).
   void set_tenant_weight(TenantId tenant, uint32_t weight) {
-    sched_.set_tenant_weight(tenant, weight);
+    io_.scheduler().set_tenant_weight(tenant, weight);
   }
   void set_tenant_rate(TenantId tenant, uint64_t bytes_per_s,
                        uint64_t burst_bytes) {
-    sched_.set_tenant_rate(tenant, bytes_per_s, burst_bytes);
+    io_.scheduler().set_tenant_rate(tenant, bytes_per_s, burst_bytes);
   }
 
   // Erase-count change notification. Called after every EraseSector attempt
@@ -171,12 +172,9 @@ class FlashDevice {
     erase_observer_ = std::move(observer);
   }
 
-  // Observability (nullable; null detaches). Registers one trace track per
-  // bank and per priority class plus wait/service histograms and counter
-  // mirrors in `obs`, and hooks the scheduler's retire path so every request
-  // becomes a span with FINAL timestamps (queue-shifts under kPriority are
-  // settled by retirement). With no obs attached the hot paths are
-  // unchanged: the scheduler's retire hook stays empty.
+  // Observability (nullable; null detaches): the shared banked-device tracks,
+  // histograms, and request spans (banked_io.h) under "flash", plus the
+  // Stats counters, tenant lanes, and wear gauges (stats_export.h).
   void AttachObs(Obs* obs);
 
   // Test hook: the next `count` reads touching `sector` fail with INTERNAL
@@ -207,12 +205,11 @@ class FlashDevice {
   // One-shot, like FailNextProgramAfterBytes.
   void InterruptNextErase() { erase_interrupt_armed_ = true; }
 
-  // Differential payload oracle (also enabled by the SSMC_VALIDATE_PAYLOADS
-  // env var, same pattern as the event queue's SSMC_VALIDATE_EVENTS): every
-  // program additionally memcpys its bytes into a flat shadow copy of the
-  // card — the representation the extent layer replaced — and every
-  // Read/ReadExtent result is memcmp'd against it. Mismatches are logged at
-  // kError and counted. O(bytes) per op — tests only.
+  // Differential payload oracle: every program additionally memcpys its
+  // bytes into a flat shadow copy of the card — the representation the
+  // extent layer replaced — and every Read/ReadExtent result is memcmp'd
+  // against it. Mismatches are logged at kError and counted. O(bytes) per
+  // op — tests only.
   void set_validate_payloads(bool on);
   bool validate_payloads() const { return validate_payloads_; }
   // Oracle disagreements observed (0 when the mode is off or every payload
@@ -222,13 +219,10 @@ class FlashDevice {
   }
 
   // --- Accounting -------------------------------------------------------
-  // Keyed request attribution (io_stats.h): how much of each stream's
-  // latency was queueing behind other work vs time on the medium, by
-  // priority class (dense array) and by tenant (sparse table — only
-  // tenants that actually issued requests appear). Queue waits are kept
-  // exact under reordering policies via the scheduler's shift observer
-  // (pushed-back reservations add their extra wait as it happens).
-  struct Stats {
+  // Keyed request attribution (IoLanes: by_class, by_tenant): how much of
+  // each stream's latency was queueing behind other work vs time on the
+  // medium, kept exact under reordering policies by BankedIo.
+  struct Stats : IoLanes {
     Counter reads;            // Read operations.
     Counter read_bytes;
     Counter programs;         // Program operations.
@@ -238,16 +232,14 @@ class FlashDevice {
     Counter bad_sectors;      // Sectors permanently failed.
     Counter torn_programs;    // Injected power-fail torn writes (tests).
     Counter interrupted_erases;  // Injected power-fail erases (tests).
-    IoLaneStats by_class[kNumIoPriorities];  // Indexed by IoPriority.
-    TenantLaneTable by_tenant;               // Keyed by issuing tenant.
   };
   const Stats& stats() const { return stats_; }
   const EnergyMeter& energy() const { return energy_; }
   // Active (busy) nanoseconds across all banks; idle time is wall minus this.
-  Duration total_active_ns() const { return total_active_ns_; }
-  // Adds idle energy for the interval [0, clock.now()) not covered by active
-  // time; call once when finalizing a run.
-  void AccountIdleEnergy();
+  Duration total_active_ns() const { return energy_.active_ns(); }
+  // Adds standby energy for the time since the previous call not covered by
+  // active time; call when settling a run's energy.
+  void AccountIdleEnergy() { energy_.SettleIdle(standby_mw(), clock_.now()); }
 
   struct WearSummary {
     uint64_t min_erases = 0;
@@ -288,17 +280,17 @@ class FlashDevice {
                               : addr % sector_bytes();
   }
 
-  // Builds and submits the request for an operation of duration `op_ns` on
-  // `bank`, records attribution, and advances the clock for blocking issues.
-  // Returns the dispatch (wait + service = the latency the caller observed).
+  // Submits and attributes an operation of duration `op_ns` on `bank` and
+  // charges its active energy. Returns the dispatch (wait + service = the
+  // latency the caller observes).
   IoScheduler::Dispatch SubmitOp(IoOp op, int bank, uint64_t addr,
                                  uint64_t bytes, Duration op_ns,
-                                 IoIssue issue);
-
-  void AddActiveEnergy(Duration busy_ns);
-
-  // Retire-hook body: spans + latency histograms for one finished request.
-  void ObsRetire(int bank, const IoRequest& req);
+                                 IoIssue issue) {
+    const IoScheduler::Dispatch d =
+        io_.Submit(op, bank, addr, bytes, op_ns, issue);
+    energy_.AddActive(active_mw(), op_ns);
+    return d;
+  }
 
   // Returns the sector's payload buffer, materializing (and 0xFF-filling) it
   // on first touch.
@@ -358,8 +350,8 @@ class FlashDevice {
   bool validate_payloads_ = false;
   uint64_t payload_validation_failures_ = 0;
   std::vector<std::unique_ptr<uint8_t[]>> shadow_data_;
-  IoScheduler sched_;  // One channel per bank.
   Stats stats_;
+  BankedIo io_;  // Attributes into stats_.
   EnergyMeter energy_;
   EraseObserver erase_observer_;
   uint64_t fault_sector_ = 0;
@@ -368,21 +360,7 @@ class FlashDevice {
   uint64_t torn_program_bytes_ = 0;
   uint64_t torn_program_skip_ = 0;
   bool erase_interrupt_armed_ = false;
-  Duration total_active_ns_ = 0;
-  Duration idle_accounted_until_ = 0;
-
-  Obs* obs_ = nullptr;
-  std::vector<int> obs_bank_tracks_;
-  int obs_class_tracks_[kNumIoPriorities] = {};
-  Histogram* obs_wait_hist_[kNumIoPriorities] = {};
-  Histogram* obs_service_hist_[kNumIoPriorities] = {};
-  // Per-tenant wait/service histogram lanes, grown as tenants appear.
-  struct ObsTenantLane {
-    TenantId tenant = kDefaultTenant;
-    Histogram* wait = nullptr;
-    Histogram* service = nullptr;
-  };
-  std::vector<ObsTenantLane> obs_tenant_hist_;
+  StatsExport export_;  // Last: flushes while the state above is alive.
 };
 
 }  // namespace ssmc

@@ -19,7 +19,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/device/banked_io.h"
 #include "src/device/specs.h"
+#include "src/obs/stats_export.h"
 #include "src/sim/clock.h"
 #include "src/sim/energy.h"
 #include "src/sim/io_request.h"
@@ -37,16 +39,13 @@ class NvmDevice {
  public:
   // capacity_bytes must divide evenly into `banks`.
   NvmDevice(NvmSpec spec, uint64_t capacity_bytes, int banks, SimClock& clock);
-  // Flushes and removes this device's metrics collector from any attached
-  // Obs (which routinely outlives the device).
-  ~NvmDevice();
 
   NvmDevice(const NvmDevice&) = delete;
   NvmDevice& operator=(const NvmDevice&) = delete;
 
   // --- Geometry ---------------------------------------------------------
   uint64_t capacity_bytes() const { return capacity_; }
-  int num_banks() const { return sched_.num_channels(); }
+  int num_banks() const { return io_.scheduler().num_channels(); }
   uint64_t bytes_per_bank() const { return bytes_per_bank_; }
   int BankOfAddress(uint64_t addr) const {
     return static_cast<int>(addr / bytes_per_bank_);
@@ -64,39 +63,41 @@ class NvmDevice {
   Result<Duration> Write(uint64_t addr, uint64_t bytes, IoIssue issue = {});
 
   SimTime BankBusyUntil(int bank) const {
-    return sched_.ChannelBusyUntil(bank);
+    return io_.scheduler().ChannelBusyUntil(bank);
   }
-  IoSchedPolicy sched_policy() const { return sched_.policy(); }
-  void set_sched_policy(IoSchedPolicy policy) { sched_.set_policy(policy); }
-  IoScheduler& scheduler() { return sched_; }
+  IoSchedPolicy sched_policy() const { return io_.scheduler().policy(); }
+  void set_sched_policy(IoSchedPolicy policy) {
+    io_.scheduler().set_policy(policy);
+  }
+  IoScheduler& scheduler() { return io_.scheduler(); }
   void set_tenant_weight(TenantId tenant, uint32_t weight) {
-    sched_.set_tenant_weight(tenant, weight);
+    io_.scheduler().set_tenant_weight(tenant, weight);
   }
   void set_tenant_rate(TenantId tenant, uint64_t bytes_per_s,
                        uint64_t burst_bytes) {
-    sched_.set_tenant_rate(tenant, bytes_per_s, burst_bytes);
+    io_.scheduler().set_tenant_rate(tenant, bytes_per_s, burst_bytes);
   }
 
-  // Observability (nullable; null detaches): per-bank trace tracks, per
-  // priority class wait/service histograms, per-tenant histogram lanes, and
-  // snapshot-time counter mirrors — the flash device's layout under the
-  // "nvm" prefix.
+  // Observability (nullable; null detaches): the flash device's layout under
+  // the "nvm" prefix — the shared banked-device tracks, histograms, and
+  // request spans (banked_io.h), plus Stats counters, tenant lanes, and the
+  // wear gauge (stats_export.h).
   void AttachObs(Obs* obs);
 
   // --- Accounting -------------------------------------------------------
-  struct Stats {
+  // Request attribution (IoLanes: by_class, by_tenant) is BankedIo's, the
+  // same as the flash device's.
+  struct Stats : IoLanes {
     Counter reads;
     Counter read_bytes;
     Counter writes;
     Counter written_bytes;
     Counter read_stall_ns;  // Time blocking reads spent waiting on banks.
-    IoLaneStats by_class[kNumIoPriorities];  // Indexed by IoPriority.
-    TenantLaneTable by_tenant;               // Keyed by issuing tenant.
   };
   const Stats& stats() const { return stats_; }
   const EnergyMeter& energy() const { return energy_; }
-  Duration total_active_ns() const { return total_active_ns_; }
-  void AccountIdleEnergy();
+  Duration total_active_ns() const { return energy_.active_ns(); }
+  void AccountIdleEnergy() { energy_.SettleIdle(standby_mw(), clock_.now()); }
 
   // Per-bank write wear: PCM endurance is per-line, so the interesting
   // signal is how evenly write traffic spreads across banks.
@@ -119,32 +120,23 @@ class NvmDevice {
  private:
   IoScheduler::Dispatch SubmitOp(IoOp op, int bank, uint64_t addr,
                                  uint64_t bytes, Duration op_ns,
-                                 IoIssue issue);
-  void ObsRetire(int bank, const IoRequest& req);
+                                 IoIssue issue) {
+    const IoScheduler::Dispatch d =
+        io_.Submit(op, bank, addr, bytes, op_ns, issue);
+    energy_.AddActive(active_mw(), op_ns);
+    return d;
+  }
 
   NvmSpec spec_;
   uint64_t capacity_;
   uint64_t bytes_per_bank_;
   SimClock& clock_;
-  IoScheduler sched_;  // One channel per bank.
   Stats stats_;
+  BankedIo io_;  // Attributes into stats_.
   std::vector<uint64_t> bank_writes_;       // Write ops per bank.
   std::vector<uint64_t> bank_write_bytes_;  // Write bytes per bank.
   EnergyMeter energy_;
-  Duration total_active_ns_ = 0;
-  Duration idle_accounted_until_ = 0;
-
-  Obs* obs_ = nullptr;
-  std::vector<int> obs_bank_tracks_;
-  int obs_class_tracks_[kNumIoPriorities] = {};
-  Histogram* obs_wait_hist_[kNumIoPriorities] = {};
-  Histogram* obs_service_hist_[kNumIoPriorities] = {};
-  struct ObsTenantLane {
-    TenantId tenant = kDefaultTenant;
-    Histogram* wait = nullptr;
-    Histogram* service = nullptr;
-  };
-  std::vector<ObsTenantLane> obs_tenant_hist_;
+  StatsExport export_;  // Last: flushes while the state above is alive.
 };
 
 }  // namespace ssmc

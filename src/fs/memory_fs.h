@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/fs/file_system.h"
+#include "src/obs/stats_export.h"
 #include "src/sim/io_stats.h"
 #include "src/sim/stats.h"
 #include "src/storage/storage_manager.h"
@@ -307,6 +308,7 @@ class MemoryFileSystem : public FileSystem {
   Stats stats_;
   Obs* obs_ = nullptr;
   int obs_track_ = 0;
+  StatsExport export_;  // Last: flushes while the state above is alive.
 };
 
 }  // namespace ssmc

@@ -181,9 +181,6 @@ FlashStore::~FlashStore() {
   if (observer_registered_) {
     flash_.set_erase_observer(nullptr);
   }
-  if (obs_ != nullptr) {
-    obs_->metrics().FlushAndRemoveCollector("ftl");
-  }
 }
 
 std::vector<SectorMeta> FlashStore::SnapshotSectors() const {
@@ -544,56 +541,39 @@ void FlashStore::MarkPageDead(uint64_t page) {
 }
 
 void FlashStore::AttachObs(Obs* obs) {
-  if (obs_ != nullptr && obs_ != obs) {
-    obs_->metrics().FlushAndRemoveCollector("ftl");
-  }
+  static constexpr CounterField<Stats> kCounters[] = {
+      {"user_writes", &Stats::user_writes},
+      {"user_reads", &Stats::user_reads},
+      {"gc_runs", &Stats::gc_runs},
+      {"gc_relocations", &Stats::gc_relocations},
+      {"erases", &Stats::erases},
+      {"wear_migrations", &Stats::wear_migrations},
+      {"trims", &Stats::trims},
+  };
+  // Per-tenant write-amplification share.
+  static constexpr CounterField<TenantIoStats> kTenantCounters[] = {
+      {"writes", &TenantIoStats::writes},
+      {"reads", &TenantIoStats::reads},
+      {"relocations", &TenantIoStats::relocations},
+  };
+  export_.Attach(
+      obs, "ftl", stats_, kCounters, stats_.by_tenant, kTenantCounters,
+      [this](MetricsRegistry& m) {
+        m.AddGauge("ftl/free_sectors")
+            ->Set(static_cast<int64_t>(free_sector_count_));
+        m.AddGauge("ftl/write_amp_milli")
+            ->Set(static_cast<int64_t>(WriteAmplification() * 1000.0));
+        for (const auto& e : stats_.by_tenant.entries()) {
+          m.AddGauge("ftl/tenant" + std::to_string(e.tenant) +
+                     "/write_amp_milli")
+              ->Set(static_cast<int64_t>(TenantWriteAmplification(e.tenant) *
+                                         1000.0));
+        }
+      });
   obs_ = obs;
-  if (obs_ == nullptr) {
-    return;
+  if (obs_ != nullptr) {
+    obs_cleaner_track_ = obs_->tracer().RegisterTrack("flash cleaner");
   }
-  obs_cleaner_track_ = obs_->tracer().RegisterTrack("flash cleaner");
-  MetricsRegistry& m = obs_->metrics();
-  Counter* user_writes = m.AddCounter("ftl/user_writes");
-  Counter* user_reads = m.AddCounter("ftl/user_reads");
-  Counter* gc_runs = m.AddCounter("ftl/gc_runs");
-  Counter* gc_relocations = m.AddCounter("ftl/gc_relocations");
-  Counter* erases = m.AddCounter("ftl/erases");
-  Counter* wear_migrations = m.AddCounter("ftl/wear_migrations");
-  Counter* trims = m.AddCounter("ftl/trims");
-  Gauge* free_sectors_g = m.AddGauge("ftl/free_sectors");
-  Gauge* wa_milli = m.AddGauge("ftl/write_amp_milli");
-  m.AddCollector("ftl", [=, this] {
-    auto mirror = [](Counter* dst, const Counter& src) {
-      dst->Reset();
-      dst->Add(src.value());
-    };
-    mirror(user_writes, stats_.user_writes);
-    mirror(user_reads, stats_.user_reads);
-    mirror(gc_runs, stats_.gc_runs);
-    mirror(gc_relocations, stats_.gc_relocations);
-    mirror(erases, stats_.erases);
-    mirror(wear_migrations, stats_.wear_migrations);
-    mirror(trims, stats_.trims);
-    free_sectors_g->Set(static_cast<int64_t>(free_sector_count_));
-    wa_milli->Set(static_cast<int64_t>(WriteAmplification() * 1000.0));
-    // Per-tenant write-amplification share, registered lazily as tenants
-    // appear (AddGauge/AddCounter are idempotent per name).
-    for (const auto& e : stats_.by_tenant.entries()) {
-      const std::string base = "ftl/tenant" + std::to_string(e.tenant) + "/";
-      auto mirror_lane = [&](const char* key, const Counter& src) {
-        Counter* dst = obs_->metrics().AddCounter(base + key);
-        dst->Reset();
-        dst->Add(src.value());
-      };
-      mirror_lane("writes", e.value.writes);
-      mirror_lane("reads", e.value.reads);
-      mirror_lane("relocations", e.value.relocations);
-      obs_->metrics()
-          .AddGauge(base + "write_amp_milli")
-          ->Set(static_cast<int64_t>(TenantWriteAmplification(e.tenant) *
-                                     1000.0));
-    }
-  });
 }
 
 SimTime FlashStore::BanksBusyUntil() const {

@@ -36,6 +36,7 @@
 
 #include "src/device/flash_device.h"
 #include "src/ftl/victim_index.h"
+#include "src/obs/stats_export.h"
 #include "src/sim/io_stats.h"
 #include "src/sim/stats.h"
 #include "src/support/status.h"
@@ -448,6 +449,7 @@ class FlashStore {
   Stats stats_;
   Obs* obs_ = nullptr;
   int obs_cleaner_track_ = 0;
+  StatsExport export_;  // Last: flushes while the state above is alive.
 };
 
 }  // namespace ssmc

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "src/journal/journal_format.h"
+#include "src/obs/stats_export.h"
 #include "src/sim/stats.h"
 #include "src/storage/storage_manager.h"
 #include "src/support/status.h"
@@ -77,7 +78,6 @@ class MetadataJournal {
   static constexpr uint64_t kSuperblockB = 2;
 
   MetadataJournal(StorageManager& storage, MetadataJournalOptions options = {});
-  ~MetadataJournal();
 
   MetadataJournal(const MetadataJournal&) = delete;
   MetadataJournal& operator=(const MetadataJournal&) = delete;
@@ -174,7 +174,7 @@ class MetadataJournal {
   std::vector<uint8_t> tail_buf_;
   uint64_t tail_used_ = 0;
   Stats stats_;
-  Obs* obs_ = nullptr;
+  StatsExport export_;  // Last: flushes while the state above is alive.
 };
 
 }  // namespace ssmc

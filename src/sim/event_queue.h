@@ -11,7 +11,10 @@
 // depends on this — the I/O request pipeline (io_scheduler.h) breaks
 // same-time dispatch ties the same way, and the flush/checkpoint daemons
 // rely on it when both fire in the same tick. Guarded by the regression and
-// property tests in event_queue_test.cc; do not weaken it.
+// property tests in event_queue_test.cc, which replay randomized
+// schedule/cancel interleavings against the retired priority-queue
+// implementation (tests/legacy_event_queue.h) and demand bit-equal run
+// order, fire times, and pending() counts; do not weaken it.
 //
 // Implementation: a calendar of timestamp buckets. Each distinct pending
 // timestamp owns one bucket holding a FIFO chain of event slots, so the
@@ -25,24 +28,15 @@
 // slot is disarmed in O(1) and reclaimed when its bucket drains, or by
 // compaction once disarmed slots outnumber armed ones (see Compact()), so
 // cancel-heavy workloads stay bounded in memory.
-//
-// Validate mode (constructor flag, or SSMC_VALIDATE_EVENTS=1 in the
-// environment) mirrors every schedule/cancel into the retired
-// priority-queue implementation (legacy_event_queue.h) and checks each
-// retirement against it, aborting on the first divergence in run order —
-// the same differential-oracle pattern the FTL uses for victim selection.
 
 #ifndef SSMC_SRC_SIM_EVENT_QUEUE_H_
 #define SSMC_SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/clock.h"
-#include "src/sim/legacy_event_queue.h"
 #include "src/support/units.h"
 
 namespace ssmc {
@@ -52,11 +46,7 @@ class EventQueue {
   using Callback = std::function<void()>;
   using EventId = uint64_t;
 
-  // `validate_with_legacy` (or SSMC_VALIDATE_EVENTS=1) enables the lockstep
-  // legacy oracle; it costs an allocation per event and is meant for tests
-  // and one-off whole-simulation audits, not production runs.
-  explicit EventQueue(SimClock& clock, bool validate_with_legacy = false);
-  ~EventQueue();
+  explicit EventQueue(SimClock& clock) : clock_(clock) {}
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -146,12 +136,6 @@ class EventQueue {
   void CompactIfNeeded();
   void Compact();
 
-  // Legacy-oracle mirroring (validate mode only).
-  void OracleSchedule(SimTime at, EventId id);
-  void OracleCancel(EventId id);
-  void OracleCheckFire(SimTime at, EventId id);
-  void OracleCheckDrained(SimTime t);
-
   SimClock& clock_;
   std::vector<Slot> slots_;
   int32_t free_slot_ = -1;
@@ -164,9 +148,6 @@ class EventQueue {
   size_t pending_ = 0;     // armed events
   size_t cancelled_ = 0;   // disarmed slots still chained in buckets
   int32_t running_bucket_ = -1;
-
-  struct OracleState;
-  std::unique_ptr<OracleState> oracle_;
 };
 
 }  // namespace ssmc

@@ -13,6 +13,7 @@
 #ifndef SSMC_SRC_SIM_IO_STATS_H_
 #define SSMC_SRC_SIM_IO_STATS_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -64,6 +65,16 @@ class TenantTable {
     }
   }
 
+  // Adds (after - before) for every tenant in `after`; a tenant missing
+  // from `before` counts from zero. T needs AddDelta(after, before).
+  void AddDelta(const TenantTable& after, const TenantTable& before) {
+    static const T kZero{};
+    for (const Entry& e : after.entries_) {
+      const T* base = before.Find(e.tenant);
+      For(e.tenant).AddDelta(e.value, base != nullptr ? *base : kZero);
+    }
+  }
+
  private:
   std::vector<Entry> entries_;  // Sorted by tenant id.
 };
@@ -74,29 +85,47 @@ struct IoLaneStats {
   Counter queue_wait_ns;
   Counter service_ns;
 
-  void Merge(const IoLaneStats& other) {
-    requests.Merge(other.requests);
-    queue_wait_ns.Merge(other.queue_wait_ns);
-    service_ns.Merge(other.service_ns);
+  static constexpr auto Fields() {
+    return std::to_array<CounterField<IoLaneStats>>({
+        {"requests", &IoLaneStats::requests},
+        {"queue_wait_ns", &IoLaneStats::queue_wait_ns},
+        {"service_ns", &IoLaneStats::service_ns},
+    });
+  }
+  void Merge(const IoLaneStats& other) { MergeFields(*this, other); }
+  void AddDelta(const IoLaneStats& after, const IoLaneStats& before) {
+    AddFieldDeltas(*this, after, before);
+  }
+
+  // One dispatched request: its queue wait and its time on the medium.
+  void Record(Duration wait, Duration service) {
+    requests.Add();
+    queue_wait_ns.Add(static_cast<uint64_t>(wait));
+    service_ns.Add(static_cast<uint64_t>(service));
   }
 };
 
-// Per-tenant time attribution, plus the delta extraction a machine uses to
-// window a device's cumulative table to one trace replay.
-class TenantLaneTable : public TenantTable<IoLaneStats> {
- public:
-  // Adds (after - before) for every lane, keyed by tenant.
-  void AddDelta(const TenantLaneTable& after, const TenantLaneTable& before) {
-    for (const Entry& e : after.entries()) {
-      const IoLaneStats* base = before.Find(e.tenant);
-      IoLaneStats& lane = For(e.tenant);
-      lane.requests.Add(e.value.requests.value() -
-                        (base ? base->requests.value() : 0));
-      lane.queue_wait_ns.Add(e.value.queue_wait_ns.value() -
-                             (base ? base->queue_wait_ns.value() : 0));
-      lane.service_ns.Add(e.value.service_ns.value() -
-                          (base ? base->service_ns.value() : 0));
-    }
+// Per-tenant time attribution. AddDelta windows a device's cumulative table
+// to one trace replay.
+using TenantLaneTable = TenantTable<IoLaneStats>;
+
+// Request attribution of one banked device: by priority class (dense) and
+// by issuing tenant (sparse — only tenants that issued requests appear).
+struct IoLanes {
+  IoLaneStats by_class[kNumIoPriorities];  // Indexed by IoPriority.
+  TenantLaneTable by_tenant;               // Keyed by issuing tenant.
+
+  void Record(IoPriority priority, TenantId tenant, Duration wait,
+              Duration service) {
+    by_class[static_cast<int>(priority)].Record(wait, service);
+    by_tenant.For(tenant).Record(wait, service);
+  }
+  // A queued reservation pushed later by a reordering policy owes its lanes
+  // the extra wait.
+  void AddWait(IoPriority priority, TenantId tenant, Duration delta) {
+    by_class[static_cast<int>(priority)].queue_wait_ns.Add(
+        static_cast<uint64_t>(delta));
+    by_tenant.For(tenant).queue_wait_ns.Add(static_cast<uint64_t>(delta));
   }
 };
 
@@ -112,13 +141,16 @@ struct TenantIoStats {
   Counter written_bytes;
   Counter relocations;
 
-  void Merge(const TenantIoStats& other) {
-    reads.Merge(other.reads);
-    read_bytes.Merge(other.read_bytes);
-    writes.Merge(other.writes);
-    written_bytes.Merge(other.written_bytes);
-    relocations.Merge(other.relocations);
+  static constexpr auto Fields() {
+    return std::to_array<CounterField<TenantIoStats>>({
+        {"reads", &TenantIoStats::reads},
+        {"read_bytes", &TenantIoStats::read_bytes},
+        {"writes", &TenantIoStats::writes},
+        {"written_bytes", &TenantIoStats::written_bytes},
+        {"relocations", &TenantIoStats::relocations},
+    });
   }
+  void Merge(const TenantIoStats& other) { MergeFields(*this, other); }
 };
 using TenantIoTable = TenantTable<TenantIoStats>;
 

@@ -31,6 +31,33 @@ class Counter {
   uint64_t value_ = 0;
 };
 
+// One Counter member of a stats struct and the name it is reported under.
+// A struct that lists its counters once as `static constexpr auto Fields()`
+// gets Merge and delta extraction from MergeFields/AddFieldDeltas, and the
+// metrics registry export from the same kind of table (src/obs/stats_export.h).
+template <typename S>
+struct CounterField {
+  const char* name;
+  Counter S::*member;
+};
+
+// Folds every listed counter of `from` into `into`.
+template <typename S>
+void MergeFields(S& into, const S& from) {
+  for (const CounterField<S>& f : S::Fields()) {
+    (into.*f.member).Merge(from.*f.member);
+  }
+}
+
+// Adds (after - before) for every listed counter: windows a cumulative
+// struct to one interval.
+template <typename S>
+void AddFieldDeltas(S& into, const S& after, const S& before) {
+  for (const CounterField<S>& f : S::Fields()) {
+    (into.*f.member).Add((after.*f.member).value() - (before.*f.member).value());
+  }
+}
+
 // Log2-bucketed histogram of non-negative 64-bit samples. Bucket b holds
 // samples in [2^(b-1), 2^b) with bucket 0 holding {0}. Supports approximate
 // quantiles (answer is the upper bound of the containing bucket, i.e. within

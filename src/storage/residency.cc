@@ -62,9 +62,6 @@ ResidencyManager::ResidencyManager(StorageManager& storage,
 
 ResidencyManager::~ResidencyManager() {
   InvalidateAllClean();
-  if (obs_ != nullptr) {
-    obs_->metrics().FlushAndRemoveCollector("residency");
-  }
 }
 
 void ResidencyManager::DetachFilesystem() {
@@ -547,9 +544,63 @@ Result<uint64_t> ResidencyManager::AllocateDramPage(ReclaimSource* requester) {
 }
 
 void ResidencyManager::AttachObs(Obs* obs) {
-  if (obs_ != nullptr && obs_ != obs) {
-    obs_->metrics().FlushAndRemoveCollector("residency");
+  std::vector<CounterField<Stats>> counters = {
+      {"touches", &Stats::touches},
+      {"promotions", &Stats::promotions},
+      {"promoted_bytes", &Stats::promoted_bytes},
+      {"clean_hits", &Stats::clean_hits},
+      {"clean_hit_bytes", &Stats::clean_hit_bytes},
+      {"demotions_pressure", &Stats::demotions_pressure},
+      {"demotions_invalidated", &Stats::demotions_invalidated},
+      {"cold_stream_hints", &Stats::cold_stream_hints},
+      {"vm_promote_faults", &Stats::vm_promote_faults},
+  };
+  std::vector<CounterField<TenantResidency>> tenant_counters = {
+      {"promotions", &TenantResidency::promotions},
+      {"promoted_bytes", &TenantResidency::promoted_bytes},
+      {"clean_hits", &TenantResidency::clean_hits},
+      {"clean_hit_bytes", &TenantResidency::clean_hit_bytes},
+  };
+  if (has_nvm_tier()) {
+    counters.insert(counters.end(),
+                    {{"nvm_promotions", &Stats::nvm_promotions},
+                     {"nvm_promoted_bytes", &Stats::nvm_promoted_bytes},
+                     {"nvm_hits", &Stats::nvm_hits},
+                     {"nvm_hit_bytes", &Stats::nvm_hit_bytes},
+                     {"nvm_to_dram_promotions", &Stats::nvm_to_dram_promotions},
+                     {"demotions_to_nvm", &Stats::demotions_to_nvm}});
+    tenant_counters.insert(tenant_counters.end(),
+                           {{"nvm_hits", &TenantResidency::nvm_hits},
+                            {"nvm_hit_bytes", &TenantResidency::nvm_hit_bytes}});
   }
+  export_.Attach(
+      obs, "residency", stats_, counters, stats_.by_tenant, tenant_counters,
+      [this](MetricsRegistry& m) {
+        m.AddGauge("residency/clean_pages")
+            ->Set(static_cast<int64_t>(clean_pages()));
+        m.AddGauge("residency/heat_entries")
+            ->Set(static_cast<int64_t>(heat_.size()));
+        if (has_nvm_tier()) {
+          m.AddGauge("residency/nvm_pages")
+              ->Set(static_cast<int64_t>(nvm_pages()));
+        }
+        // Per-tenant DRAM share. The clean-page split is recomputed at
+        // snapshot time: one scan of the cache beats keeping counters
+        // consistent across every demote path.
+        if (stats_.by_tenant.empty()) {
+          return;
+        }
+        TenantTable<uint64_t> pages;
+        for (const auto& [key, entry] : tiers_[kDramTier].entries) {
+          pages.For(entry.tenant) += 1;
+        }
+        for (const auto& e : stats_.by_tenant.entries()) {
+          const uint64_t* share = pages.Find(e.tenant);
+          m.AddGauge("residency/tenant" + std::to_string(e.tenant) +
+                     "/clean_pages")
+              ->Set(static_cast<int64_t>(share != nullptr ? *share : 0));
+        }
+      });
   obs_ = obs;
   if (obs_ == nullptr) {
     promote_heat_ = nullptr;
@@ -557,93 +608,8 @@ void ResidencyManager::AttachObs(Obs* obs) {
     return;
   }
   obs_track_ = obs_->tracer().RegisterTrack("residency");
-  MetricsRegistry& m = obs_->metrics();
-  promote_heat_ = m.AddHistogram("residency/promote_heat_x100");
-  flush_heat_ = m.AddHistogram("residency/flush_heat_x100");
-  Counter* touches = m.AddCounter("residency/touches");
-  Counter* promotions = m.AddCounter("residency/promotions");
-  Counter* promoted_bytes = m.AddCounter("residency/promoted_bytes");
-  Counter* clean_hits = m.AddCounter("residency/clean_hits");
-  Counter* clean_hit_bytes = m.AddCounter("residency/clean_hit_bytes");
-  Counter* dem_pressure = m.AddCounter("residency/demotions_pressure");
-  Counter* dem_invalid = m.AddCounter("residency/demotions_invalidated");
-  Counter* cold_hints = m.AddCounter("residency/cold_stream_hints");
-  Counter* vm_promotes = m.AddCounter("residency/vm_promote_faults");
-  Gauge* clean_pages_g = m.AddGauge("residency/clean_pages");
-  Gauge* heat_entries = m.AddGauge("residency/heat_entries");
-  Counter* nvm_promotions = nullptr;
-  Counter* nvm_promoted_bytes = nullptr;
-  Counter* nvm_hits = nullptr;
-  Counter* nvm_hit_bytes = nullptr;
-  Counter* nvm_to_dram = nullptr;
-  Counter* dem_to_nvm = nullptr;
-  Gauge* nvm_pages_g = nullptr;
-  if (has_nvm_tier()) {
-    nvm_promotions = m.AddCounter("residency/nvm_promotions");
-    nvm_promoted_bytes = m.AddCounter("residency/nvm_promoted_bytes");
-    nvm_hits = m.AddCounter("residency/nvm_hits");
-    nvm_hit_bytes = m.AddCounter("residency/nvm_hit_bytes");
-    nvm_to_dram = m.AddCounter("residency/nvm_to_dram_promotions");
-    dem_to_nvm = m.AddCounter("residency/demotions_to_nvm");
-    nvm_pages_g = m.AddGauge("residency/nvm_pages");
-  }
-  m.AddCollector("residency", [=, this] {
-    auto mirror = [](Counter* dst, const Counter& src) {
-      dst->Reset();
-      dst->Add(src.value());
-    };
-    mirror(touches, stats_.touches);
-    mirror(promotions, stats_.promotions);
-    mirror(promoted_bytes, stats_.promoted_bytes);
-    mirror(clean_hits, stats_.clean_hits);
-    mirror(clean_hit_bytes, stats_.clean_hit_bytes);
-    mirror(dem_pressure, stats_.demotions_pressure);
-    mirror(dem_invalid, stats_.demotions_invalidated);
-    mirror(cold_hints, stats_.cold_stream_hints);
-    mirror(vm_promotes, stats_.vm_promote_faults);
-    clean_pages_g->Set(static_cast<int64_t>(clean_pages()));
-    heat_entries->Set(static_cast<int64_t>(heat_.size()));
-    if (nvm_promotions != nullptr) {
-      mirror(nvm_promotions, stats_.nvm_promotions);
-      mirror(nvm_promoted_bytes, stats_.nvm_promoted_bytes);
-      mirror(nvm_hits, stats_.nvm_hits);
-      mirror(nvm_hit_bytes, stats_.nvm_hit_bytes);
-      mirror(nvm_to_dram, stats_.nvm_to_dram_promotions);
-      mirror(dem_to_nvm, stats_.demotions_to_nvm);
-      nvm_pages_g->Set(static_cast<int64_t>(nvm_pages()));
-    }
-    // Per-tenant DRAM share and promotion counters, registered lazily as
-    // tenants appear (AddCounter/AddGauge are idempotent per name). The
-    // clean-page split is recomputed at snapshot time: one scan of the
-    // cache beats keeping counters consistent across every demote path.
-    if (!stats_.by_tenant.empty()) {
-      TenantTable<uint64_t> pages;
-      for (const auto& [key, entry] : tiers_[kDramTier].entries) {
-        pages.For(entry.tenant) += 1;
-      }
-      for (const auto& e : stats_.by_tenant.entries()) {
-        const std::string base =
-            "residency/tenant" + std::to_string(e.tenant) + "/";
-        auto mirror_lane = [&](const char* key, const Counter& src) {
-          Counter* dst = obs_->metrics().AddCounter(base + key);
-          dst->Reset();
-          dst->Add(src.value());
-        };
-        mirror_lane("promotions", e.value.promotions);
-        mirror_lane("promoted_bytes", e.value.promoted_bytes);
-        mirror_lane("clean_hits", e.value.clean_hits);
-        mirror_lane("clean_hit_bytes", e.value.clean_hit_bytes);
-        if (has_nvm_tier()) {
-          mirror_lane("nvm_hits", e.value.nvm_hits);
-          mirror_lane("nvm_hit_bytes", e.value.nvm_hit_bytes);
-        }
-        const uint64_t* share = pages.Find(e.tenant);
-        obs_->metrics()
-            .AddGauge(base + "clean_pages")
-            ->Set(static_cast<int64_t>(share != nullptr ? *share : 0));
-      }
-    }
-  });
+  promote_heat_ = obs_->metrics().AddHistogram("residency/promote_heat_x100");
+  flush_heat_ = obs_->metrics().AddHistogram("residency/flush_heat_x100");
 }
 
 }  // namespace ssmc

@@ -47,6 +47,7 @@
 #ifndef SSMC_SRC_STORAGE_RESIDENCY_H_
 #define SSMC_SRC_STORAGE_RESIDENCY_H_
 
+#include <array>
 #include <cstdint>
 #include <list>
 #include <span>
@@ -55,6 +56,7 @@
 #include <vector>
 
 #include "src/ftl/flash_store.h"
+#include "src/obs/stats_export.h"
 #include "src/sim/io_stats.h"
 #include "src/sim/stats.h"
 #include "src/storage/block_key.h"
@@ -256,14 +258,17 @@ class ResidencyManager {
     Counter nvm_hits;
     Counter nvm_hit_bytes;
 
-    void Merge(const TenantResidency& other) {
-      promotions.Merge(other.promotions);
-      promoted_bytes.Merge(other.promoted_bytes);
-      clean_hits.Merge(other.clean_hits);
-      clean_hit_bytes.Merge(other.clean_hit_bytes);
-      nvm_hits.Merge(other.nvm_hits);
-      nvm_hit_bytes.Merge(other.nvm_hit_bytes);
+    static constexpr auto Fields() {
+      return std::to_array<CounterField<TenantResidency>>({
+          {"promotions", &TenantResidency::promotions},
+          {"promoted_bytes", &TenantResidency::promoted_bytes},
+          {"clean_hits", &TenantResidency::clean_hits},
+          {"clean_hit_bytes", &TenantResidency::clean_hit_bytes},
+          {"nvm_hits", &TenantResidency::nvm_hits},
+          {"nvm_hit_bytes", &TenantResidency::nvm_hit_bytes},
+      });
     }
+    void Merge(const TenantResidency& other) { MergeFields(*this, other); }
   };
 
   struct Stats {
@@ -364,6 +369,7 @@ class ResidencyManager {
   int obs_track_ = 0;
   Histogram* promote_heat_ = nullptr;  // Owned by the Obs registry.
   Histogram* flush_heat_ = nullptr;
+  StatsExport export_;  // Last: flushes while the state above is alive.
 };
 
 }  // namespace ssmc

@@ -20,41 +20,24 @@ WriteBuffer::~WriteBuffer() {
   for (auto& [key, entry] : entries_) {
     (void)storage_.FreeDramPage(entry.dram_page);
   }
-  if (obs_ != nullptr) {
-    obs_->metrics().FlushAndRemoveCollector("wbuf");
-  }
 }
 
 void WriteBuffer::AttachObs(Obs* obs) {
-  if (obs_ != nullptr && obs_ != obs) {
-    obs_->metrics().FlushAndRemoveCollector("wbuf");
-  }
-  obs_ = obs;
-  if (obs_ == nullptr) {
-    return;
-  }
-  obs_track_ = obs_->tracer().RegisterTrack("write buffer");
-  MetricsRegistry& m = obs_->metrics();
-  Counter* puts = m.AddCounter("wbuf/puts");
-  Counter* absorbed = m.AddCounter("wbuf/absorbed_overwrites");
-  Counter* flushes = m.AddCounter("wbuf/flushes");
-  Counter* flushed_bytes = m.AddCounter("wbuf/flushed_bytes");
-  Counter* evictions = m.AddCounter("wbuf/capacity_evictions");
-  Counter* dropped = m.AddCounter("wbuf/dropped_writes");
-  Gauge* dirty = m.AddGauge("wbuf/dirty_pages");
-  m.AddCollector("wbuf", [=, this] {
-    auto mirror = [](Counter* dst, const Counter& src) {
-      dst->Reset();
-      dst->Add(src.value());
-    };
-    mirror(puts, stats_.puts);
-    mirror(absorbed, stats_.absorbed_overwrites);
-    mirror(flushes, stats_.flushes);
-    mirror(flushed_bytes, stats_.flushed_bytes);
-    mirror(evictions, stats_.capacity_evictions);
-    mirror(dropped, stats_.dropped_writes);
-    dirty->Set(static_cast<int64_t>(entries_.size()));
+  static constexpr CounterField<Stats> kCounters[] = {
+      {"puts", &Stats::puts},
+      {"absorbed_overwrites", &Stats::absorbed_overwrites},
+      {"flushes", &Stats::flushes},
+      {"flushed_bytes", &Stats::flushed_bytes},
+      {"capacity_evictions", &Stats::capacity_evictions},
+      {"dropped_writes", &Stats::dropped_writes},
+  };
+  export_.Attach(obs, "wbuf", stats_, kCounters, [this](MetricsRegistry& m) {
+    m.AddGauge("wbuf/dirty_pages")->Set(static_cast<int64_t>(entries_.size()));
   });
+  obs_ = obs;
+  if (obs_ != nullptr) {
+    obs_track_ = obs_->tracer().RegisterTrack("write buffer");
+  }
 }
 
 Status WriteBuffer::Put(const BlockKey& key, std::span<const uint8_t> data,

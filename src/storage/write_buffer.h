@@ -33,6 +33,7 @@
 #include <span>
 #include <unordered_map>
 
+#include "src/obs/stats_export.h"
 #include "src/sim/io_stats.h"
 #include "src/sim/stats.h"
 #include "src/storage/block_key.h"
@@ -141,6 +142,7 @@ class WriteBuffer {
   Stats stats_;
   Obs* obs_ = nullptr;
   int obs_track_ = 0;
+  StatsExport export_;  // Last: flushes while the state above is alive.
 };
 
 }  // namespace ssmc

@@ -113,5 +113,22 @@ TEST(DramDeviceTest, IdleEnergyAccrues) {
   EXPECT_NEAR(dram.energy().idle_nanojoules(), 1.5e6, 1e4);
 }
 
+// Each settle charges standby only for its own window: active time already
+// offset against an earlier window must not be subtracted again.
+TEST(DramDeviceTest, IdleEnergyOfLaterSettleCoversOnlyItsWindow) {
+  SimClock clock;
+  DramDevice dram(TestSpec(), 1 * kMiB, clock);
+  while (dram.total_active_ns() < 300 * kMillisecond) {
+    dram.ChargeAccess(64 * kKiB, /*is_write=*/true);
+  }
+  dram.AccountIdleEnergy();
+  const double idle_before = dram.energy().idle_nanojoules();
+  clock.Advance(kSecond);  // Pure idle.
+  dram.AccountIdleEnergy();
+  // 1.5 mW for 1 s = 1.5e6 nJ.
+  EXPECT_NEAR(dram.energy().idle_nanojoules() - idle_before,
+              dram.standby_mw() * 1e-3 * static_cast<double>(kSecond), 1.0);
+}
+
 }  // namespace
 }  // namespace ssmc

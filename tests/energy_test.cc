@@ -28,6 +28,21 @@ TEST(EnergyMeterTest, IdleSeparatedFromActive) {
   EXPECT_NEAR(m.total_nanojoules(), 1.1e6, 1);
 }
 
+TEST(EnergyMeterTest, SettleIdleChargesEachWindowOnce) {
+  EnergyMeter m;
+  m.AddActive(100.0, 300 * kMillisecond);
+  EXPECT_EQ(m.active_ns(), 300 * kMillisecond);
+  // Window [0, 1 s): 700 ms idle at 1 mW = 7e5 nJ.
+  m.SettleIdle(1.0, kSecond);
+  EXPECT_NEAR(m.idle_nanojoules(), 7e5, 1);
+  // Window [1 s, 3 s): no activity, all 2 s idle.
+  m.SettleIdle(1.0, 3 * kSecond);
+  EXPECT_NEAR(m.idle_nanojoules(), 7e5 + 2e6, 1);
+  // An empty window charges nothing.
+  m.SettleIdle(1.0, 3 * kSecond);
+  EXPECT_NEAR(m.idle_nanojoules(), 7e5 + 2e6, 1);
+}
+
 TEST(EnergyMeterTest, ResetClears) {
   EnergyMeter m;
   m.AddActive(5, 100);

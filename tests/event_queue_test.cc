@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/sim/legacy_event_queue.h"
 #include "src/support/rng.h"
+#include "tests/legacy_event_queue.h"
 
 namespace ssmc {
 namespace {
@@ -230,10 +230,16 @@ TEST(EventQueueTest, CancelChurnKeepsMemoryBounded) {
 //
 // Randomized schedule/cancel/run interleavings applied in lockstep to the
 // calendar queue and to the retired priority-queue implementation
-// (LegacyEventQueue). Both record the logical index of every event they
-// fire; the sequences must be bit-equal. The calendar queue additionally
-// runs with its built-in validate-mode oracle enabled, so a divergence is
-// caught both here and by the queue's own lockstep check.
+// (tests/legacy_event_queue.h). Both record the logical index and sim time
+// of every event they fire; the sequences must be bit-equal, and so must
+// pending() after every RunUntil.
+
+// One fired event: its logical index and the clock when it ran.
+struct Fire {
+  int logical;
+  SimTime at;
+  bool operator==(const Fire&) const = default;
+};
 
 TEST(EventQueueTest, RandomizedInterleavingsMatchLegacyOracle) {
   constexpr int kRounds = 25;
@@ -242,10 +248,10 @@ TEST(EventQueueTest, RandomizedInterleavingsMatchLegacyOracle) {
     Rng rng(0x5eed0000 + static_cast<uint64_t>(round));
     SimClock clock_a;
     SimClock clock_b;
-    EventQueue calendar(clock_a, /*validate_with_legacy=*/true);
+    EventQueue calendar(clock_a);
     LegacyEventQueue legacy(clock_b);
-    std::vector<int> order_a;
-    std::vector<int> order_b;
+    std::vector<Fire> order_a;
+    std::vector<Fire> order_b;
     std::vector<char> fired_a;  // Indexed by logical event id.
     // Live logical events: index -> ids in both queues.
     struct Live {
@@ -265,12 +271,13 @@ TEST(EventQueueTest, RandomizedInterleavingsMatchLegacyOracle) {
         const int logical = next_logical++;
         fired_a.push_back(0);
         const auto ida = calendar.ScheduleAt(at, [&order_a, &fired_a,
-                                                  logical] {
-          order_a.push_back(logical);
+                                                  &clock_a, logical] {
+          order_a.push_back({logical, clock_a.now()});
           fired_a[static_cast<size_t>(logical)] = 1;
         });
-        const auto idb = legacy.ScheduleAt(
-            at, [&order_b, logical] { order_b.push_back(logical); });
+        const auto idb = legacy.ScheduleAt(at, [&order_b, &clock_b, logical] {
+          order_b.push_back({logical, clock_b.now()});
+        });
         live.push_back({logical, ida, idb});
       } else if (pick < 8) {
         if (!live.empty()) {
@@ -286,6 +293,9 @@ TEST(EventQueueTest, RandomizedInterleavingsMatchLegacyOracle) {
         calendar.RunUntil(t);
         legacy.RunUntil(t);
         ASSERT_EQ(clock_a.now(), clock_b.now());
+        ASSERT_EQ(calendar.pending(), legacy.pending())
+            << "round " << round << " op " << op;
+        ASSERT_EQ(order_a, order_b) << "round " << round << " op " << op;
         // Drop fired events from the live set.
         live.erase(
             std::remove_if(live.begin(), live.end(),
@@ -303,20 +313,29 @@ TEST(EventQueueTest, RandomizedInterleavingsMatchLegacyOracle) {
   }
 }
 
-// Same-time cascades under validate mode: the built-in oracle must agree on
-// cascade ordering, not just on pre-scheduled events.
-TEST(EventQueueTest, ValidateModeAcceptsCascades) {
+// Same-time cascades: events scheduled by a running callback, at the same
+// time and later, fire in the same order and at the same times as in the
+// legacy queue.
+template <typename Queue>
+std::vector<Fire> RunCascade() {
   SimClock clock;
-  EventQueue q(clock, /*validate_with_legacy=*/true);
-  std::vector<int> order;
+  Queue q(clock);
+  std::vector<Fire> order;
+  auto fire = [&](int logical) { order.push_back({logical, clock.now()}); };
   q.ScheduleAt(100, [&] {
-    order.push_back(1);
-    q.ScheduleAt(100, [&] { order.push_back(3); });
-    q.ScheduleAfter(50, [&] { order.push_back(4); });
+    fire(1);
+    q.ScheduleAt(100, [&] { fire(3); });
+    q.ScheduleAfter(50, [&] { fire(4); });
   });
-  q.ScheduleAt(100, [&] { order.push_back(2); });
+  q.ScheduleAt(100, [&] { fire(2); });
   q.RunUntil(200);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  return order;
+}
+
+TEST(EventQueueTest, CascadesMatchLegacyOracle) {
+  const std::vector<Fire> order = RunCascade<EventQueue>();
+  EXPECT_EQ(order, (std::vector<Fire>{{1, 100}, {2, 100}, {3, 100}, {4, 150}}));
+  EXPECT_EQ(order, RunCascade<LegacyEventQueue>());
 }
 
 }  // namespace
