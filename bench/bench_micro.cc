@@ -430,6 +430,19 @@ void BM_SimCoreReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_SimCoreReplay)->Unit(benchmark::kMillisecond);
 
+void BM_MachineBuild(benchmark::State& state) {
+  // Host cost of building and destroying one NotebookConfig machine: the
+  // fixed per-user cost of the fleet loop (E11), paid before any replay.
+  // Construction scales with the state a user touches, not with the
+  // machine's capacity. Recorded in BENCH_micro.json; not gated.
+  const MachineConfig config = NotebookConfig();
+  for (auto _ : state) {
+    MobileComputer machine(config);
+    benchmark::DoNotOptimize(&machine);
+  }
+}
+BENCHMARK(BM_MachineBuild)->Unit(benchmark::kMicrosecond);
+
 void BM_SingleLevelStoreLoad(benchmark::State& state) {
   MobileComputer machine(NotebookConfig());
   (void)machine.fs().Create("/f");

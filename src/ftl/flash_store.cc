@@ -138,9 +138,8 @@ FlashStore::FlashStore(FlashDevice& flash, FlashStoreOptions options)
   assert(reserve < num_sectors && "device too small for its reserve");
   num_logical_blocks_ = (num_sectors - reserve) * pps;
 
-  map_.assign(num_logical_blocks_, kUnmapped);
-  page_owner_.assign(num_sectors * pps, kUnmapped);
-  page_tenant_.assign(num_sectors * pps, kDefaultTenant);
+  page_owner_ = std::make_unique_for_overwrite<uint64_t[]>(num_sectors * pps);
+  page_tenant_ = std::make_unique_for_overwrite<TenantId[]>(num_sectors * pps);
   assert(pps <= UINT16_MAX && "SectorHot packs page counts into 16 bits");
   hot_.resize(num_sectors);
   for (SectorHot& h : hot_) {
@@ -227,6 +226,9 @@ int64_t FlashStore::TakeFreeSector(int bank) {
   }
   hot_[static_cast<size_t>(sector)].flags &= ~kFreeFlag;
   free_sector_count_ -= 1;
+  const uint64_t first_page = static_cast<uint64_t>(sector) * pps_;
+  std::fill_n(&page_owner_[first_page], pps_, kUnmapped);
+  std::fill_n(&page_tenant_[first_page], pps_, kDefaultTenant);
   return sector;
 }
 
@@ -358,6 +360,9 @@ Result<Duration> FlashStore::WriteInternalRef(uint64_t block, PayloadRef data,
   // between gives these random-access lines time to arrive. Advisory only —
   // cleaning may remap the block meanwhile, so the authoritative map_ read
   // happens after the program.
+  if (block >= map_.size()) {
+    map_.resize(block + 1, kUnmapped);
+  }
   if (const uint64_t prior = map_[block]; prior != kUnmapped) {
     __builtin_prefetch(&page_owner_[prior], 1);
     __builtin_prefetch(&hot_[SectorOfPage(prior)], 1);
@@ -451,11 +456,12 @@ Result<Duration> FlashStore::Read(uint64_t block, std::span<uint8_t> out,
   if (out.size() != options_.block_bytes) {
     return InvalidArgumentError("flash store reads are whole blocks");
   }
-  if (map_[block] == kUnmapped) {
+  const uint64_t page = MappedPage(block);
+  if (page == kUnmapped) {
     return NotFoundError("flash store block " + std::to_string(block) +
                          " is not mapped");
   }
-  Result<Duration> r = flash_.Read(PageAddress(map_[block]), out, issue);
+  Result<Duration> r = flash_.Read(PageAddress(page), out, issue);
   if (r.ok()) {
     stats_.user_reads.Add();
     TenantIoStats& lane = stats_.by_tenant.For(issue.tenant);
@@ -469,12 +475,13 @@ Result<PayloadRef> FlashStore::ReadRef(uint64_t block, IoIssue issue) {
   if (block >= num_logical_blocks_) {
     return OutOfRangeError("flash store block out of range");
   }
-  if (map_[block] == kUnmapped) {
+  const uint64_t page = MappedPage(block);
+  if (page == kUnmapped) {
     return NotFoundError("flash store block " + std::to_string(block) +
                          " is not mapped");
   }
   Result<PayloadRef> r = flash_.ReadExtent(
-      PageAddress(map_[block]), options_.block_bytes, extent_pool_, issue);
+      PageAddress(page), options_.block_bytes, extent_pool_, issue);
   if (r.ok()) {
     stats_.user_reads.Add();
     TenantIoStats& lane = stats_.by_tenant.For(issue.tenant);
@@ -493,12 +500,13 @@ Result<Duration> FlashStore::ReadPartial(uint64_t block, uint64_t offset,
   if (offset + out.size() > options_.block_bytes) {
     return OutOfRangeError("partial read exceeds block bounds");
   }
-  if (map_[block] == kUnmapped) {
+  const uint64_t page = MappedPage(block);
+  if (page == kUnmapped) {
     return NotFoundError("flash store block " + std::to_string(block) +
                          " is not mapped");
   }
   Result<Duration> r =
-      flash_.Read(PageAddress(map_[block]) + offset, out, issue);
+      flash_.Read(PageAddress(page) + offset, out, issue);
   if (r.ok()) {
     stats_.user_reads.Add();
     TenantIoStats& lane = stats_.by_tenant.For(issue.tenant);
@@ -512,20 +520,22 @@ Status FlashStore::Trim(uint64_t block) {
   if (block >= num_logical_blocks_) {
     return OutOfRangeError("flash store block out of range");
   }
-  if (map_[block] == kUnmapped) {
+  const uint64_t page = MappedPage(block);
+  if (page == kUnmapped) {
     return Status::Ok();  // Idempotent.
   }
-  MarkPageDead(map_[block]);
+  MarkPageDead(page);
   map_[block] = kUnmapped;
   stats_.trims.Add();
   return Status::Ok();
 }
 
 Result<uint64_t> FlashStore::PhysicalAddressOf(uint64_t block) const {
-  if (block >= num_logical_blocks_ || map_[block] == kUnmapped) {
+  const uint64_t page = MappedPage(block);
+  if (page == kUnmapped) {
     return NotFoundError("flash store block is not mapped");
   }
-  return PageAddress(map_[block]);
+  return PageAddress(page);
 }
 
 void FlashStore::MarkPageDead(uint64_t page) {

@@ -211,9 +211,7 @@ class FlashStore {
   // Drops a logical block's contents (marks its page dead).
   Status Trim(uint64_t block);
 
-  bool IsMapped(uint64_t block) const {
-    return block < map_.size() && map_[block] != kUnmapped;
-  }
+  bool IsMapped(uint64_t block) const { return MappedPage(block) != kUnmapped; }
 
   // Physical flash address currently holding the block (for execute-in-place
   // mappings). Fails if unmapped. NOTE: cleaning relocates blocks, so XIP
@@ -283,6 +281,10 @@ class FlashStore {
   static constexpr uint64_t kUnmapped = ~uint64_t{0};
 
   uint32_t pages_per_sector() const { return pps_; }
+  // Physical page holding `block`, or kUnmapped (also past map_'s end).
+  uint64_t MappedPage(uint64_t block) const {
+    return block < map_.size() ? map_[block] : kUnmapped;
+  }
   uint64_t PageAddress(uint64_t page) const {
     return page * options_.block_bytes;
   }
@@ -424,9 +426,15 @@ class FlashStore {
   // bump plus a mapping update.
   ExtentPool extent_pool_;
 
-  std::vector<uint64_t> map_;           // logical block -> physical page.
-  std::vector<uint64_t> page_owner_;    // physical page -> logical block.
-  std::vector<TenantId> page_tenant_;   // physical page -> billing tenant.
+  // Logical block -> physical page. Grows to the highest block written; a
+  // block past its end is unmapped (MappedPage).
+  std::vector<uint64_t> map_;
+  // Physical page -> logical block / billing tenant. Allocated but not
+  // initialised at construction: TakeFreeSector initialises a sector's rows
+  // when it opens the sector, and nothing reads a sector's rows before that
+  // (only opened sectors are ever programmed, cleaned or migrated).
+  std::unique_ptr<uint64_t[]> page_owner_;
+  std::unique_ptr<TenantId[]> page_tenant_;
   std::vector<SectorHot> hot_;          // SoA: hot per-sector metadata.
   std::vector<uint32_t> next_free_page_;  // SoA: per-sector write pointer.
   std::vector<FreeSectorPool> free_pool_;  // Per-bank free sectors.

@@ -1,6 +1,5 @@
 #include "src/storage/storage_manager.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -10,35 +9,15 @@ StorageManager::StorageManager(DramDevice& dram, FlashStore& flash_store,
                                uint64_t page_bytes,
                                ResidencyOptions residency, NvmDevice* nvm)
     : dram_(dram), flash_store_(flash_store), nvm_(nvm),
-      page_bytes_(page_bytes) {
+      page_bytes_(page_bytes),
+      dram_pages_(dram.capacity_bytes() / page_bytes),
+      nvm_pages_(nvm != nullptr ? nvm->capacity_bytes() / page_bytes : 0),
+      flash_blocks_(flash_store.num_blocks()) {
   assert(page_bytes_ > 0);
   assert(page_bytes_ == flash_store_.block_bytes() &&
          "DRAM page size must match the flash store block size");
-  total_dram_pages_ = dram_.capacity_bytes() / page_bytes_;
-  free_dram_pages_.reserve(total_dram_pages_);
-  // Hand pages out from low addresses first.
-  for (uint64_t p = total_dram_pages_; p > 0; --p) {
-    free_dram_pages_.push_back(p - 1);
-  }
-  dram_page_used_.assign(total_dram_pages_, false);
-  page_payloads_.resize(total_dram_pages_);
-
-  if (nvm_ != nullptr) {
-    total_nvm_pages_ = nvm_->capacity_bytes() / page_bytes_;
-    free_nvm_pages_.reserve(total_nvm_pages_);
-    for (uint64_t p = total_nvm_pages_; p > 0; --p) {
-      free_nvm_pages_.push_back(p - 1);
-    }
-    nvm_page_used_.assign(total_nvm_pages_, false);
-    nvm_page_payloads_.resize(total_nvm_pages_);
-  }
-
-  const uint64_t blocks = flash_store_.num_blocks();
-  free_flash_blocks_.reserve(blocks);
-  for (uint64_t b = blocks; b > 0; --b) {
-    free_flash_blocks_.push_back(b - 1);
-  }
-  flash_block_used_.assign(blocks, false);
+  page_payloads_.resize(total_dram_pages());
+  nvm_page_payloads_.resize(total_nvm_pages());
 
   // Built after the allocators so the residency manager can size its clean
   // cache against total_dram_pages().
@@ -66,50 +45,44 @@ void StorageManager::AttachObs(Obs* obs) {
 }
 
 Result<uint64_t> StorageManager::AllocateDramPage() {
-  if (free_dram_pages_.empty()) {
+  const std::optional<uint64_t> page = dram_pages_.Take();
+  if (!page) {
     return ResourceExhaustedError("out of DRAM pages");
   }
-  const uint64_t page = free_dram_pages_.back();
-  free_dram_pages_.pop_back();
-  dram_page_used_[page] = true;
-  return page;
+  return *page;
 }
 
 Status StorageManager::FreeDramPage(uint64_t page) {
-  if (page >= total_dram_pages_) {
+  if (page >= total_dram_pages()) {
     return OutOfRangeError("no such DRAM page");
   }
-  if (!dram_page_used_[page]) {
+  if (!dram_pages_.used(page)) {
     return FailedPreconditionError("double free of DRAM page " +
                                    std::to_string(page));
   }
-  dram_page_used_[page] = false;
   page_payloads_[page].Reset();
-  free_dram_pages_.push_back(page);
+  dram_pages_.Put(page);
   return Status::Ok();
 }
 
 Result<uint64_t> StorageManager::AllocateNvmPage() {
-  if (free_nvm_pages_.empty()) {
+  const std::optional<uint64_t> page = nvm_pages_.Take();
+  if (!page) {
     return ResourceExhaustedError("out of NVM pages");
   }
-  const uint64_t page = free_nvm_pages_.back();
-  free_nvm_pages_.pop_back();
-  nvm_page_used_[page] = true;
-  return page;
+  return *page;
 }
 
 Status StorageManager::FreeNvmPage(uint64_t page) {
-  if (page >= total_nvm_pages_) {
+  if (page >= total_nvm_pages()) {
     return OutOfRangeError("no such NVM page");
   }
-  if (!nvm_page_used_[page]) {
+  if (!nvm_pages_.used(page)) {
     return FailedPreconditionError("double free of NVM page " +
                                    std::to_string(page));
   }
-  nvm_page_used_[page] = false;
   nvm_page_payloads_[page].Reset();
-  free_nvm_pages_.push_back(page);
+  nvm_pages_.Put(page);
   return Status::Ok();
 }
 
@@ -117,7 +90,7 @@ Duration StorageManager::ReadNvmPagePayload(uint64_t page, uint64_t offset,
                                             std::span<uint8_t> out,
                                             IoIssue issue) {
   assert(nvm_ != nullptr);
-  assert(page < total_nvm_pages_ && offset + out.size() <= page_bytes_);
+  assert(page < total_nvm_pages() && offset + out.size() <= page_bytes_);
   const Result<Duration> d =
       nvm_->Read(NvmPageAddress(page) + offset, out.size(), issue);
   const PayloadRef& ref = nvm_page_payloads_[page];
@@ -133,7 +106,7 @@ Duration StorageManager::InstallNvmPagePayload(uint64_t page,
                                                PayloadRef payload,
                                                IoIssue issue) {
   assert(nvm_ != nullptr);
-  assert(page < total_nvm_pages_ && payload.size() == page_bytes_);
+  assert(page < total_nvm_pages() && payload.size() == page_bytes_);
   const Result<Duration> d =
       nvm_->Write(NvmPageAddress(page), page_bytes_, issue);
   nvm_page_payloads_[page] = std::move(payload);
@@ -143,7 +116,7 @@ Duration StorageManager::InstallNvmPagePayload(uint64_t page,
 PayloadRef StorageManager::ReadNvmPagePayloadRef(uint64_t page,
                                                  IoIssue issue) {
   assert(nvm_ != nullptr);
-  assert(page < total_nvm_pages_);
+  assert(page < total_nvm_pages());
   (void)nvm_->Read(NvmPageAddress(page), page_bytes_, issue);
   PayloadRef& ref = nvm_page_payloads_[page];
   if (!ref) {
@@ -158,7 +131,7 @@ PayloadRef StorageManager::ReadNvmPagePayloadRef(uint64_t page,
 
 Duration StorageManager::ReadPagePayload(uint64_t page, uint64_t offset,
                                          std::span<uint8_t> out) {
-  assert(page < total_dram_pages_ && offset + out.size() <= page_bytes_);
+  assert(page < total_dram_pages() && offset + out.size() <= page_bytes_);
   const Duration d = dram_.ChargeAccess(out.size(), /*is_write=*/false);
   const PayloadRef& ref = page_payloads_[page];
   if (ref) {
@@ -171,7 +144,7 @@ Duration StorageManager::ReadPagePayload(uint64_t page, uint64_t offset,
 
 Duration StorageManager::WritePagePayload(uint64_t page, uint64_t offset,
                                           std::span<const uint8_t> data) {
-  assert(page < total_dram_pages_ && offset + data.size() <= page_bytes_);
+  assert(page < total_dram_pages() && offset + data.size() <= page_bytes_);
   const Duration d = dram_.ChargeAccess(data.size(), /*is_write=*/true);
   PayloadRef& ref = page_payloads_[page];
   if (!ref) {
@@ -190,14 +163,14 @@ Duration StorageManager::WritePagePayload(uint64_t page, uint64_t offset,
 }
 
 Duration StorageManager::InstallPagePayload(uint64_t page, PayloadRef payload) {
-  assert(page < total_dram_pages_ && payload.size() == page_bytes_);
+  assert(page < total_dram_pages() && payload.size() == page_bytes_);
   const Duration d = dram_.ChargeAccess(page_bytes_, /*is_write=*/true);
   page_payloads_[page] = std::move(payload);
   return d;
 }
 
 Duration StorageManager::ZeroFillPagePayload(uint64_t page) {
-  assert(page < total_dram_pages_);
+  assert(page < total_dram_pages());
   const Duration d = dram_.ChargeAccess(page_bytes_, /*is_write=*/true);
   if (!zero_extent_) {
     zero_extent_ = extent_pool().Allocate();
@@ -208,7 +181,7 @@ Duration StorageManager::ZeroFillPagePayload(uint64_t page) {
 }
 
 PayloadRef StorageManager::ReadPagePayloadRef(uint64_t page) {
-  assert(page < total_dram_pages_);
+  assert(page < total_dram_pages());
   dram_.ChargeAccess(page_bytes_, /*is_write=*/false);
   PayloadRef& ref = page_payloads_[page];
   if (!ref) {
@@ -232,39 +205,32 @@ Status StorageManager::ReserveFlashBlock(uint64_t block) {
   if (block >= flash_store_.num_blocks()) {
     return OutOfRangeError("no such flash block");
   }
-  if (flash_block_used_[block]) {
+  if (flash_blocks_.used(block)) {
     return AlreadyExistsError("flash block " + std::to_string(block) +
                               " is already in use");
   }
-  auto it = std::find(free_flash_blocks_.begin(), free_flash_blocks_.end(),
-                      block);
-  assert(it != free_flash_blocks_.end());
-  free_flash_blocks_.erase(it);
-  flash_block_used_[block] = true;
+  flash_blocks_.Claim(block);
   return Status::Ok();
 }
 
 Result<uint64_t> StorageManager::AllocateFlashBlock() {
-  if (free_flash_blocks_.empty()) {
+  const std::optional<uint64_t> block = flash_blocks_.Take();
+  if (!block) {
     return NoSpaceError("out of flash blocks");
   }
-  const uint64_t block = free_flash_blocks_.back();
-  free_flash_blocks_.pop_back();
-  flash_block_used_[block] = true;
-  return block;
+  return *block;
 }
 
 Status StorageManager::FreeFlashBlock(uint64_t block) {
   if (block >= flash_store_.num_blocks()) {
     return OutOfRangeError("no such flash block");
   }
-  if (!flash_block_used_[block]) {
+  if (!flash_blocks_.used(block)) {
     return FailedPreconditionError("double free of flash block " +
                                    std::to_string(block));
   }
   SSMC_RETURN_IF_ERROR(flash_store_.Trim(block));
-  flash_block_used_[block] = false;
-  free_flash_blocks_.push_back(block);
+  flash_blocks_.Put(block);
   return Status::Ok();
 }
 

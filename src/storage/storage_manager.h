@@ -26,6 +26,7 @@
 #include "src/device/nvm_device.h"
 #include "src/ftl/flash_store.h"
 #include "src/obs/stats_export.h"
+#include "src/storage/index_pool.h"
 #include "src/storage/residency.h"
 #include "src/support/extent.h"
 #include "src/support/status.h"
@@ -56,8 +57,8 @@ class StorageManager {
   const ResidencyManager& residency() const { return *residency_; }
 
   // --- DRAM page allocation ---------------------------------------------
-  uint64_t total_dram_pages() const { return total_dram_pages_; }
-  uint64_t free_dram_pages() const { return free_dram_pages_.size(); }
+  uint64_t total_dram_pages() const { return dram_pages_.size(); }
+  uint64_t free_dram_pages() const { return dram_pages_.free_count(); }
   // Returns the page index; the page's device address is index * page_bytes.
   // RESOURCE_EXHAUSTED when the pool is dry (a typed out-of-memory: callers
   // distinguish it from media-level kNoSpace).
@@ -70,22 +71,22 @@ class StorageManager {
   // as DRAM. Null / zero-sized when the machine has no NVM.
   NvmDevice* nvm() { return nvm_; }
   const NvmDevice* nvm() const { return nvm_; }
-  uint64_t total_nvm_pages() const { return total_nvm_pages_; }
-  uint64_t free_nvm_pages() const { return free_nvm_pages_.size(); }
+  uint64_t total_nvm_pages() const { return nvm_pages_.size(); }
+  uint64_t free_nvm_pages() const { return nvm_pages_.free_count(); }
   Result<uint64_t> AllocateNvmPage();
   Status FreeNvmPage(uint64_t page);
   uint64_t NvmPageAddress(uint64_t page) const { return page * page_bytes_; }
 
   // --- Flash logical-block allocation -------------------------------------
   uint64_t total_flash_blocks() const { return flash_store_.num_blocks(); }
-  uint64_t free_flash_blocks() const { return free_flash_blocks_.size(); }
+  uint64_t free_flash_blocks() const { return flash_blocks_.free_count(); }
   Result<uint64_t> AllocateFlashBlock();
   // Frees the block and trims its contents from the store.
   Status FreeFlashBlock(uint64_t block);
   // Claims a specific block (fixed superblock locations). Fails if taken.
   Status ReserveFlashBlock(uint64_t block);
   bool IsFlashBlockUsed(uint64_t block) const {
-    return block < flash_block_used_.size() && flash_block_used_[block];
+    return block < flash_blocks_.size() && flash_blocks_.used(block);
   }
 
   // Observability (nullable; null detaches): free-pool gauges pulled at
@@ -156,14 +157,11 @@ class StorageManager {
   FlashStore& flash_store_;
   NvmDevice* nvm_;
   uint64_t page_bytes_;
-  uint64_t total_dram_pages_;
-  uint64_t total_nvm_pages_ = 0;
-  std::vector<uint64_t> free_dram_pages_;
-  std::vector<uint64_t> free_nvm_pages_;
-  std::vector<uint64_t> free_flash_blocks_;
-  std::vector<bool> dram_page_used_;
-  std::vector<bool> nvm_page_used_;
-  std::vector<bool> flash_block_used_;
+  // Allocation order is part of the simulated behaviour (addresses reach the
+  // devices): lowest page/block first, freed ones reused LIFO (index_pool.h).
+  IndexPool dram_pages_;
+  IndexPool nvm_pages_;
+  IndexPool flash_blocks_;
   std::vector<PayloadRef> page_payloads_;      // Indexed by DRAM page.
   std::vector<PayloadRef> nvm_page_payloads_;  // Indexed by NVM page.
   PayloadRef zero_extent_;                 // Lazily built, shared by aliasing.

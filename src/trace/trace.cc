@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 namespace ssmc {
 
@@ -75,25 +76,29 @@ Trace Trace::Prefix(SimTime cutoff) const {
   return out;
 }
 
-Trace Trace::WithPathPrefix(const std::string& prefix) const {
-  Trace out;
-  for (TraceRecord r : records_) {
-    r.path = prefix + r.path;
-    if (!r.path2.empty()) {
-      r.path2 = prefix + r.path2;
-    }
-    out.Add(std::move(r));
-  }
-  return out;
+Trace Trace::WithPathPrefix(const std::string& prefix) const& {
+  return Trace(*this).WithPathPrefix(prefix);
 }
 
-Trace Trace::WithTenant(TenantId tenant) const {
-  Trace out;
-  for (TraceRecord r : records_) {
-    r.tenant = tenant;
-    out.Add(std::move(r));
+Trace Trace::WithPathPrefix(const std::string& prefix) && {
+  for (TraceRecord& r : records_) {
+    r.path.insert(0, prefix);
+    if (!r.path2.empty()) {
+      r.path2.insert(0, prefix);
+    }
   }
-  return out;
+  return std::move(*this);
+}
+
+Trace Trace::WithTenant(TenantId tenant) const& {
+  return Trace(*this).WithTenant(tenant);
+}
+
+Trace Trace::WithTenant(TenantId tenant) && {
+  for (TraceRecord& r : records_) {
+    r.tenant = tenant;
+  }
+  return std::move(*this);
 }
 
 std::string Trace::ToText() const {

@@ -66,11 +66,16 @@ class Trace {
 
   // A copy with every path prefixed by `prefix` (multi-session composition;
   // prefix must be a valid absolute directory path, and callers mkdir it).
-  Trace WithPathPrefix(const std::string& prefix) const;
+  // The rvalue overload stamps the records in place instead of copying them:
+  // std::move(trace).WithPathPrefix(p).
+  Trace WithPathPrefix(const std::string& prefix) const&;
+  Trace WithPathPrefix(const std::string& prefix) &&;
 
   // A copy with every record attributed to `tenant` (tenant-mix
   // composition: per-user workloads stamped with the user's tenant class).
-  Trace WithTenant(TenantId tenant) const;
+  // The rvalue overload stamps in place, as above.
+  Trace WithTenant(TenantId tenant) const&;
+  Trace WithTenant(TenantId tenant) &&;
 
   // One line per record:
   // "<at> <op> <path> <offset> <length> [<path2>] [t=<tenant>]".

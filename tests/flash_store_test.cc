@@ -121,6 +121,100 @@ TEST_F(FlashStoreTest, PhysicalAddressTracksRelocation) {
             ErrorCode::kNotFound);
 }
 
+// The logical map grows only to the highest block written; every path must
+// treat a block past its end exactly like a trimmed one.
+TEST_F(FlashStoreTest, NeverWrittenBlockPastMapEndIsUnmapped) {
+  const uint64_t high = store_->num_blocks() - 1;
+  auto expect_unmapped = [&](uint64_t block) {
+    auto out = Block(0);
+    EXPECT_EQ(store_->Read(block, out).status().code(), ErrorCode::kNotFound);
+    EXPECT_EQ(store_->ReadRef(block).status().code(), ErrorCode::kNotFound);
+    EXPECT_EQ(store_->ReadPartial(block, 8, std::span(out).first(16))
+                  .status()
+                  .code(),
+              ErrorCode::kNotFound);
+    EXPECT_EQ(store_->PhysicalAddressOf(block).status().code(),
+              ErrorCode::kNotFound);
+    EXPECT_FALSE(store_->IsMapped(block));
+  };
+  expect_unmapped(0);  // Nothing written: the map is empty.
+  expect_unmapped(high);
+  ASSERT_TRUE(store_->Write(3, Block(3)).ok());
+  expect_unmapped(4);
+  expect_unmapped(high);
+  // Trim past the end is OK, idempotent, and counts nothing.
+  EXPECT_TRUE(store_->Trim(high).ok());
+  EXPECT_TRUE(store_->Trim(high).ok());
+  EXPECT_EQ(store_->stats().trims.value(), 0u);
+  expect_unmapped(high);
+  // Writing the top block grows the map; blocks in between stay unmapped.
+  ASSERT_TRUE(store_->Write(high, Block(9)).ok());
+  expect_unmapped(high - 1);
+  auto out = Block(0);
+  ASSERT_TRUE(store_->Read(high, out).ok());
+  EXPECT_EQ(out, Block(9));
+  ASSERT_TRUE(store_->Read(3, out).ok());
+  EXPECT_EQ(out, Block(3));
+}
+
+// Sector page rows (owner block, billing tenant) are initialised when a
+// sector opens, not at construction. Four banks open their sectors out of
+// address order (round-robin across banks); cleaning and static wear
+// leveling must still relocate every live page to its owner and bill the
+// owner's tenant, with every indexed decision cross-checked. A torn first
+// program leaves a page that was allocated but never owned: its row must
+// read as unowned when the cleaner or the leveler scans that sector.
+TEST_F(FlashStoreTest, LazySectorRowsSurviveOutOfOrderOpens) {
+  FlashStoreOptions opts;
+  opts.wear = WearPolicy::kStatic;
+  opts.cleaner = CleanerPolicy::kGreedy;
+  opts.static_wear_check_interval = 8;
+  opts.static_wear_delta = 8;
+  opts.validate_indexes = true;
+  Recreate(128 * 1024, 4, opts);
+  const uint64_t n = store_->num_blocks();
+  std::map<uint64_t, uint8_t> model;
+  auto write = [&](uint64_t b, uint8_t fill) {
+    const TenantId tenant = b % 2 == 0 ? 1 : 2;
+    ASSERT_TRUE(store_->Write(b, Block(fill), WriteStream::kUser,
+                              IoPriority::kForeground, tenant)
+                    .ok())
+        << "block " << b;
+    model[b] = fill;
+  };
+  flash_->FailNextProgramAfterBytes(0);
+  EXPECT_FALSE(store_->Write(n - 2, Block(1)).ok());
+  // Odd blocks top-down (the map grows to full size at once), then even
+  // blocks bottom-up.
+  for (uint64_t b = n - 1; b < n; b -= 2) {
+    write(b, static_cast<uint8_t>(b));
+  }
+  for (uint64_t b = 0; b < n; b += 2) {
+    write(b, static_cast<uint8_t>(b));
+  }
+  for (int i = 0; i < 5000; ++i) {
+    write(static_cast<uint64_t>(i % 8), static_cast<uint8_t>(i));
+  }
+  const FlashStore::Stats& stats = store_->stats();
+  EXPECT_GT(stats.gc_relocations.value(), 0u);
+  EXPECT_GT(stats.wear_migrations.value(), 0u);
+  EXPECT_EQ(store_->index_validation_failures(), 0u);
+  EXPECT_TRUE(store_->CheckIndexConsistency().ok());
+  // Every relocation was billed to one of the two writing tenants.
+  ASSERT_EQ(stats.by_tenant.entries().size(), 2u);
+  uint64_t billed = 0;
+  for (const auto& e : stats.by_tenant.entries()) {
+    EXPECT_TRUE(e.tenant == 1 || e.tenant == 2) << e.tenant;
+    billed += e.value.relocations.value();
+  }
+  EXPECT_EQ(billed, stats.gc_relocations.value());
+  for (const auto& [b, fill] : model) {
+    auto out = Block(0);
+    ASSERT_TRUE(store_->Read(b, out).ok()) << "block " << b;
+    EXPECT_EQ(out, Block(fill)) << "block " << b;
+  }
+}
+
 TEST_F(FlashStoreTest, FillToLogicalCapacitySucceeds) {
   auto data = Block(0x11);
   for (uint64_t b = 0; b < store_->num_blocks(); ++b) {

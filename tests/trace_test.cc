@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace ssmc {
 namespace {
 
@@ -73,6 +75,26 @@ TEST(TraceTest, WithPathPrefixRewritesAllPaths) {
   EXPECT_EQ(remapped.records()[1].path2, "/s1/d/b");
   // The original is untouched.
   EXPECT_EQ(trace.records()[0].path, "/d");
+}
+
+TEST(TraceTest, RvalueStampingMatchesCopiesInPlace) {
+  Trace trace;
+  trace.Add({0, TraceOp::kMkdir, "/d", 0, 0, ""});
+  trace.Add({1, TraceOp::kWrite, "/d/a", 0, 64, ""});
+  trace.Add({2, TraceOp::kRename, "/d/a", 0, 0, "/d/b"});
+  const Trace copied = trace.WithPathPrefix("/s1").WithTenant(3);
+
+  // The rvalue overloads stamp the records where they are: the record
+  // storage moves through both calls instead of being copied.
+  const TraceRecord* storage = trace.records().data();
+  const Trace stamped = std::move(trace).WithPathPrefix("/s1").WithTenant(3);
+  EXPECT_EQ(stamped.records().data(), storage);
+  ASSERT_EQ(stamped.size(), copied.size());
+  for (size_t i = 0; i < stamped.size(); ++i) {
+    EXPECT_EQ(stamped.records()[i], copied.records()[i]) << "record " << i;
+  }
+  EXPECT_EQ(stamped.records()[2].path2, "/s1/d/b");
+  EXPECT_EQ(stamped.records()[2].tenant, 3);
 }
 
 TEST(TraceTest, ParserRejectsGarbage) {
