@@ -16,6 +16,8 @@
 #include "src/core/single_level_store.h"
 #include "src/device/disk_device.h"
 #include "src/fs/disk_fs.h"
+#include "src/harness/parallel_runner.h"
+#include "src/harness/scaleout.h"
 #include "src/obs/metrics_export.h"
 #include "src/trace/generator.h"
 #include "src/vm/loader.h"
@@ -442,6 +444,38 @@ void BM_MachineBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MachineBuild)->Unit(benchmark::kMicrosecond);
+
+void BM_GenerateFleetUser(benchmark::State& state) {
+  // Host cost of generating the traces of one fleet user pair, derived as
+  // RunScaleout derives them: user 0 (office) and user 1 (write-hot), 2
+  // simulated seconds each. Like BM_MachineBuild a fixed per-user cost of
+  // the fleet loop, paid before any replay. Recorded in BENCH_micro.json;
+  // not gated.
+  ScaleoutOptions fleet;
+  fleet.user_duration = 2 * kSecond;
+  std::vector<WorkloadOptions> users;
+  for (int user = 0; user < 2; ++user) {
+    WorkloadOptions options =
+        user % 2 != 0 ? WriteHotWorkload() : OfficeWorkload();
+    options.seed =
+        DeriveCellSeed(fleet.base_seed, 2 * static_cast<uint64_t>(user));
+    options.duration = fleet.user_duration;
+    options.max_file_bytes = fleet.max_file_bytes;
+    users.push_back(options);
+  }
+  uint64_t records = 0;
+  for (auto _ : state) {
+    for (const WorkloadOptions& options : users) {
+      const Trace trace = WorkloadGenerator(options).Generate();
+      records += trace.size();
+      benchmark::DoNotOptimize(trace.size());
+    }
+  }
+  state.counters["records_per_iter"] =
+      static_cast<double>(records) /
+      static_cast<double>(std::max<int64_t>(1, state.iterations()));
+}
+BENCHMARK(BM_GenerateFleetUser)->Unit(benchmark::kMicrosecond);
 
 void BM_SingleLevelStoreLoad(benchmark::State& state) {
   MobileComputer machine(NotebookConfig());

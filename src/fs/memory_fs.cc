@@ -391,7 +391,8 @@ Status MemoryFileSystem::StageBlockWrite(Inode& inode, uint64_t block_index,
     return buffer_.Put(key, data, now, tenant_);
   }
 
-  std::vector<uint8_t> staging(bs, 0);
+  staging_.resize(bs);
+  const std::span<uint8_t> staging(staging_);
   const int64_t slot = block_index < inode.flash_blocks.size()
                            ? inode.flash_blocks[block_index]
                            : -1;
@@ -422,6 +423,8 @@ Status MemoryFileSystem::StageBlockWrite(Inode& inode, uint64_t block_index,
       break;
     }
     case Residency::kHole:
+      // Every other source overwrites the whole block; a hole reads zeros.
+      std::fill(staging.begin(), staging.end(), 0);
       break;
   }
   std::memcpy(staging.data() + offset_in_block, data.data(), data.size());

@@ -305,6 +305,12 @@ class MemoryFileSystem : public FileSystem {
   // emission from the mutation paths replay reuses.
   bool replaying_ = false;
   TenantId tenant_ = kDefaultTenant;
+  // StageBlockWrite's read-modify-write block for partial writes, sized on
+  // first use. Invariant: nothing StageBlockWrite calls re-enters it (a
+  // write-buffer eviction drains through FlushBlock, which programs flash
+  // and appends to the journal but stages nothing), so one block is never
+  // in use twice.
+  std::vector<uint8_t> staging_;
   Stats stats_;
   Obs* obs_ = nullptr;
   int obs_track_ = 0;

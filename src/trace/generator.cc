@@ -1,10 +1,33 @@
 #include "src/trace/generator.h"
 
 #include <algorithm>
+#include <cassert>
+#include <map>
+#include <mutex>
 #include <queue>
-#include <unordered_set>
+#include <unordered_map>
 
 namespace ssmc {
+
+namespace {
+
+// Zipf ranks map onto the live set; a fixed-size sampler keeps selection
+// O(log n) while the live set churns.
+constexpr size_t kHotRanks = 4096;
+
+// The hot-set CDF depends only on the skew, yet costs kHotRanks std::pow
+// calls -- as much as generating a short trace. Each distinct skew's sampler
+// is built on first use and then shared read-only by every Generate(), on
+// any thread (concurrent scale-out shards generate at the same time). The
+// entries are never freed; there is one per distinct skew.
+const ZipfSampler& HotSetSampler(double skew) {
+  static std::mutex mu;
+  static std::map<double, ZipfSampler> samplers;
+  std::lock_guard<std::mutex> lock(mu);
+  return samplers.try_emplace(skew, kHotRanks, skew).first->second;
+}
+
+}  // namespace
 
 WorkloadOptions OfficeWorkload() {
   WorkloadOptions options;
@@ -53,15 +76,14 @@ Trace WorkloadGenerator::Generate() {
     uint64_t size;
   };
   std::vector<LiveFile> files;
-  std::unordered_set<std::string> live_paths;
+  // Live path -> its index in `files`.
+  std::unordered_map<std::string, size_t> slots;
   // Short-lived files awaiting their scheduled deletion: (deadline, path).
   using Deletion = std::pair<SimTime, std::string>;
   std::priority_queue<Deletion, std::vector<Deletion>, std::greater<>> deaths;
 
   uint64_t name_counter = 0;
-  // Zipf ranks map onto the live set; a fixed-size sampler keeps selection
-  // O(log n) while the live set churns.
-  ZipfSampler zipf(4096, options_.hot_skew);
+  const ZipfSampler& zipf = HotSetSampler(options_.hot_skew);
 
   auto pick_file = [&]() -> LiveFile* {
     if (files.empty()) {
@@ -86,8 +108,8 @@ Trace WorkloadGenerator::Generate() {
     const uint64_t size = sample_file_size();
     trace.Add({at, TraceOp::kCreate, path, 0, 0, ""});
     trace.Add({at, TraceOp::kWrite, path, 0, size, ""});
+    slots.emplace(path, files.size());
     files.push_back({path, size});
-    live_paths.insert(path);
     if (rng_.NextBool(options_.p_short_lived)) {
       const Duration life = static_cast<Duration>(
           rng_.NextExponential(static_cast<double>(options_.short_lived_mean)));
@@ -95,14 +117,17 @@ Trace WorkloadGenerator::Generate() {
     }
   };
 
+  // Swap-with-back removal, so `files` keeps the order selection depends on.
   auto remove_file = [&](const std::string& path) {
-    live_paths.erase(path);
-    auto it = std::find_if(files.begin(), files.end(),
-                           [&](const LiveFile& f) { return f.path == path; });
-    if (it != files.end()) {
-      *it = files.back();
-      files.pop_back();
+    const auto it = slots.find(path);
+    assert(it != slots.end());
+    const size_t slot = it->second;
+    slots.erase(it);  // `path` may alias files[slot].path: done with it now.
+    if (slot + 1 != files.size()) {
+      files[slot] = std::move(files.back());
+      slots[files[slot].path] = slot;
     }
+    files.pop_back();
   };
 
   // --- Population phase ---------------------------------------------------
@@ -126,7 +151,7 @@ Trace WorkloadGenerator::Generate() {
     while (!deaths.empty() && deaths.top().first <= t) {
       const auto [when, path] = deaths.top();
       deaths.pop();
-      if (live_paths.count(path) != 0) {
+      if (slots.count(path) != 0) {
         trace.Add({when, TraceOp::kUnlink, path, 0, 0, ""});
         remove_file(path);
       }

@@ -1,6 +1,8 @@
 #include "src/trace/replayer.h"
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 #include <vector>
 
 #include "src/obs/obs.h"
@@ -49,32 +51,31 @@ void TraceReplayer::AttachObs(Obs* obs) {
   }
 }
 
-uint64_t TraceReplayer::PathHash(const std::string& path) {
-  const auto [it, inserted] = path_hash_cache_.try_emplace(path, 0);
-  if (inserted) {
-    it->second = std::hash<std::string>()(path);
-  }
-  return it->second;
-}
-
 void TraceReplayer::FillPattern(const std::string& path, uint64_t offset,
                                 std::span<uint8_t> out) {
-  const uint64_t h = PathHash(path);
-  for (size_t i = 0; i < out.size(); ++i) {
+  // Only the low byte of (h + offset + i) reaches the output byte, so the
+  // pattern repeats every 256 bytes: compute one period, then double it.
+  const uint64_t h = std::hash<std::string>()(path);
+  const size_t period = std::min<size_t>(out.size(), 256);
+  for (size_t i = 0; i < period; ++i) {
     out[i] = static_cast<uint8_t>((h + offset + i) * 131);
+  }
+  for (size_t done = period; done < out.size();) {
+    const size_t chunk = std::min(done, out.size() - done);
+    std::memcpy(out.data() + done, out.data(), chunk);
+    done += chunk;
   }
 }
 
 ReplayReport TraceReplayer::Replay(const Trace& trace) {
   ReplayReport report;
   report.started = clock_.now();
-  std::vector<uint8_t> buffer;
-  // One allocation up front instead of growing across the replay.
+  // Sized once to the longest transfer; each op uses a prefix of it.
   uint64_t max_length = 0;
   for (const TraceRecord& r : trace.records()) {
     max_length = std::max(max_length, r.length);
   }
-  buffer.reserve(max_length);
+  std::vector<uint8_t> buffer(max_length);
 
   // Per-record tenant propagation: the file system stamps the current
   // tenant onto every device I/O it issues. Only transitions pay the
@@ -117,9 +118,9 @@ ReplayReport TraceReplayer::Replay(const Trace& trace) {
         status = fs_.Stat(r.path).status();
         break;
       case TraceOp::kWrite: {
-        buffer.resize(r.length);
-        FillPattern(r.path, r.offset, buffer);
-        Result<uint64_t> n = fs_.Write(r.path, r.offset, buffer);
+        const std::span<uint8_t> data(buffer.data(), r.length);
+        FillPattern(r.path, r.offset, data);
+        Result<uint64_t> n = fs_.Write(r.path, r.offset, data);
         status = n.status();
         if (n.ok()) {
           report.bytes_written += n.value();
@@ -129,8 +130,8 @@ ReplayReport TraceReplayer::Replay(const Trace& trace) {
         break;
       }
       case TraceOp::kRead: {
-        buffer.resize(r.length);
-        Result<uint64_t> n = fs_.Read(r.path, r.offset, buffer);
+        Result<uint64_t> n = fs_.Read(
+            r.path, r.offset, std::span<uint8_t>(buffer.data(), r.length));
         status = n.status();
         if (n.ok()) {
           report.bytes_read += n.value();

@@ -2,11 +2,83 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <string_view>
 #include <unordered_set>
 
 namespace ssmc {
 namespace {
+
+uint64_t Fnv1a64(std::string_view text) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+WorkloadOptions ReadMostlyWith512Files() {
+  WorkloadOptions options = ReadMostlyWorkload();
+  options.initial_files = 512;
+  return options;
+}
+
+// The record stream itself is pinned, not only its statistics: any change
+// to a path, time, offset or length in any record changes these digests.
+TEST(GeneratorTest, RecordStreamDigestsArePinned) {
+  struct Case {
+    const char* profile;
+    WorkloadOptions options;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"office", OfficeWorkload(), 1993, 0xd3fec6b42e253651ULL},
+      {"office", OfficeWorkload(), 7, 0xafc289167a910474ULL},
+      {"write-hot", WriteHotWorkload(), 701, 0xcd2209e9a3d45b4bULL},
+      {"write-hot", WriteHotWorkload(), 8, 0xf30c12b333aecad6ULL},
+      {"read-mostly/512", ReadMostlyWith512Files(), 2718,
+       0x1dd651a2b60323a0ULL},
+      {"read-mostly/512", ReadMostlyWith512Files(), 9,
+       0x31731137200cbcecULL},
+  };
+  for (const Case& c : cases) {
+    WorkloadOptions options = c.options;
+    options.seed = c.seed;
+    options.duration = 5 * kMinute;
+    const Trace trace = WorkloadGenerator(options).Generate();
+    EXPECT_EQ(Fnv1a64(trace.ToText()), c.digest)
+        << c.profile << " seed " << c.seed << " (" << trace.size()
+        << " records)";
+  }
+}
+
+// Generators at different skews share nothing mutable: interleaving their
+// Generate() calls yields exactly the traces each produces on its own,
+// including a generator's second Generate() on its continued rng stream.
+TEST(GeneratorTest, InterleavedSkewsMatchIsolatedGeneration) {
+  WorkloadOptions office = OfficeWorkload();
+  office.duration = kMinute;
+  WorkloadOptions hot = WriteHotWorkload();
+  hot.duration = kMinute;
+  ASSERT_NE(office.hot_skew, hot.hot_skew);
+
+  WorkloadGenerator office_alone(office);
+  const std::string office_first = office_alone.Generate().ToText();
+  const std::string office_second = office_alone.Generate().ToText();
+  WorkloadGenerator hot_alone(hot);
+  const std::string hot_first = hot_alone.Generate().ToText();
+  const std::string hot_second = hot_alone.Generate().ToText();
+
+  WorkloadGenerator office_mixed(office);
+  WorkloadGenerator hot_mixed(hot);
+  EXPECT_EQ(hot_mixed.Generate().ToText(), hot_first);
+  EXPECT_EQ(office_mixed.Generate().ToText(), office_first);
+  EXPECT_EQ(hot_mixed.Generate().ToText(), hot_second);
+  EXPECT_EQ(office_mixed.Generate().ToText(), office_second);
+}
 
 TEST(GeneratorTest, DeterministicFromSeed) {
   WorkloadOptions options = OfficeWorkload();

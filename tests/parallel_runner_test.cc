@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -145,6 +146,46 @@ TEST(ParallelRunnerTest, MachineMatrixByteIdenticalToSerial) {
             FormatMatrixTable(parallel_reports));
   // Sanity: the matrix did real work.
   EXPECT_GT(serial_reports[0].ops, 100u);
+}
+
+// Concurrent shards generate their users' traces at the same time, so the
+// generator's per-skew tables can be built while threads race for them. The
+// two skews here are used by no other case in this binary: their tables are
+// first built inside the race, which is the case ThreadSanitizer must see.
+TEST(GeneratorRaceTest, ConcurrentGenerateMatchesSerial) {
+  constexpr int kThreads = 4;
+  const double skews[] = {0.8, 1.4};
+  auto options_for = [&](int thread, int i) {
+    WorkloadOptions options = OfficeWorkload();
+    options.seed = 100 + static_cast<uint64_t>(thread);
+    options.hot_skew = skews[(thread + i) % 2];
+    options.duration = 20 * kSecond;
+    return options;
+  };
+
+  std::vector<std::vector<std::string>> raced(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < 2; ++i) {
+        raced[static_cast<size_t>(t)].push_back(
+            WorkloadGenerator(options_for(t, i)).Generate().ToText());
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_EQ(raced[static_cast<size_t>(t)][static_cast<size_t>(i)],
+                WorkloadGenerator(options_for(t, i)).Generate().ToText())
+          << "thread " << t << " trace " << i;
+    }
+  }
 }
 
 TEST(ScaleoutTest, ShardedRunByteIdenticalToSerial) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/core/machine.h"
 #include "src/trace/generator.h"
@@ -87,6 +91,41 @@ TEST_F(ReplayerTest, FailedOpBytesCountedSeparately) {
   EXPECT_EQ(report.bytes_written, 2048u);
   EXPECT_EQ(report.failed_read_bytes, 4096u);
   EXPECT_EQ(report.failed_write_bytes, 1024u);
+}
+
+// Replayed writes carry byte i = low byte of (hash(path) + offset + i) * 131.
+// Benchmark drivers re-derive these bytes on their own, so the payload is
+// pinned at lengths around the 256-byte pattern period and the block size,
+// at unaligned offsets, and after a longer write in the same replay.
+TEST_F(ReplayerTest, WritePayloadBytesArePinned) {
+  const uint64_t lengths[] = {1, 255, 256, 257, 4109, 65536};
+  const uint64_t offsets[] = {0, 1, 300};
+  Trace trace;
+  SimTime at = 0;
+  std::vector<TraceRecord> writes;
+  for (const uint64_t offset : offsets) {
+    for (const uint64_t length : lengths) {
+      const std::string path =
+          "/p" + std::to_string(length) + "_" + std::to_string(offset);
+      trace.Add({at++, TraceOp::kCreate, path, 0, 0, ""});
+      writes.push_back({at++, TraceOp::kWrite, path, offset, length, ""});
+      trace.Add(writes.back());
+    }
+  }
+  const ReplayReport report = machine_.RunTrace(trace);
+  ASSERT_EQ(report.failures, 0u);
+
+  for (const TraceRecord& w : writes) {
+    std::vector<uint8_t> got(w.length);
+    Result<uint64_t> n = machine_.fs().Read(w.path, w.offset, got);
+    ASSERT_TRUE(n.ok()) << w.path;
+    ASSERT_EQ(n.value(), w.length) << w.path;
+    const uint64_t h = std::hash<std::string>()(w.path);
+    for (uint64_t i = 0; i < w.length; ++i) {
+      ASSERT_EQ(got[i], static_cast<uint8_t>((h + w.offset + i) * 131))
+          << w.path << " byte " << i;
+    }
+  }
 }
 
 // Same regression against a device-level fault: an injected flash read fault
