@@ -13,6 +13,20 @@ namespace ssmc {
 
 namespace {
 constexpr uint8_t kErasedByte = 0xFF;
+
+// First entry of a sector's offset-sorted extent list at or after `off`.
+template <typename Extents>
+auto ExtentAtOrAfter(Extents& extents, uint64_t off) {
+  return std::lower_bound(
+      extents.begin(), extents.end(), off,
+      [](const auto& e, uint64_t o) { return e.offset < o; });
+}
+
+void PrefetchBytes(const uint8_t* p, uint64_t n) {
+  for (uint64_t i = 0; i < n; i += 64) {
+    __builtin_prefetch(p + i, 0);
+  }
+}
 }  // namespace
 
 FlashDevice::FlashDevice(FlashSpec spec, uint64_t capacity_bytes, int banks,
@@ -64,6 +78,26 @@ int FlashDevice::BankOfAddress(uint64_t addr) const {
   return BankOfSector(SectorOfAddr(addr));
 }
 
+template <typename Fn>
+void FlashDevice::ForEachExtentIn(uint64_t sector, uint64_t off, uint64_t n,
+                                  Fn fn) const {
+  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
+  auto it = std::upper_bound(
+      extents.begin(), extents.end(), off,
+      [](uint64_t o, const ExtentEntry& e) { return o < e.offset; });
+  if (it != extents.begin()) {
+    --it;  // The previous extent may begin before `off` and reach into it.
+  }
+  for (; it != extents.end() && it->offset < off + n; ++it) {
+    const uint64_t lo = std::max<uint64_t>(off, it->offset);
+    const uint64_t hi =
+        std::min<uint64_t>(off + n, it->offset + it->ref.size());
+    if (lo < hi) {
+      fn(lo, it->ref.data() + (lo - it->offset), hi - lo);
+    }
+  }
+}
+
 void FlashDevice::PrefetchPayload(uint64_t addr, uint64_t bytes) const {
   if (bytes == 0 || addr + bytes > capacity_) {
     return;
@@ -74,35 +108,14 @@ void FlashDevice::PrefetchPayload(uint64_t addr, uint64_t bytes) const {
   }
   const uint64_t off = OffsetInSector(addr);
   if (const uint8_t* base = sector_data_[sector].get()) {
-    const uint8_t* p = base + off;
-    for (uint64_t i = 0; i < bytes; i += 64) {
-      __builtin_prefetch(p + i, 0);
-    }
+    PrefetchBytes(base + off, bytes);
   }
   // Unmaterialized flat storage reads as 0xFF without touching memory; any
   // extent payloads intersecting the range are worth pulling in though.
-  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
-  if (extents.empty()) {
-    return;
-  }
-  auto it = std::upper_bound(
-      extents.begin(), extents.end(), off,
-      [](uint64_t o, const ExtentEntry& e) { return o < e.offset; });
-  if (it != extents.begin()) {
-    --it;
-  }
-  for (; it != extents.end() && it->offset < off + bytes; ++it) {
-    const uint64_t lo = std::max<uint64_t>(off, it->offset);
-    const uint64_t hi =
-        std::min<uint64_t>(off + bytes, it->offset + it->ref.size());
-    if (lo >= hi) {
-      continue;
-    }
-    const uint8_t* p = it->ref.data() + (lo - it->offset);
-    for (uint64_t i = 0; i < hi - lo; i += 64) {
-      __builtin_prefetch(p + i, 0);
-    }
-  }
+  ForEachExtentIn(sector, off, bytes,
+                  [](uint64_t, const uint8_t* p, uint64_t len) {
+                    PrefetchBytes(p, len);
+                  });
 }
 
 void FlashDevice::PrefetchExtentIndex(uint64_t sector) const {
@@ -117,114 +130,17 @@ int FlashDevice::BankOfSector(uint64_t sector) const {
                                            : sector / sectors_per_bank());
 }
 
-Result<Duration> FlashDevice::Read(uint64_t addr, std::span<uint8_t> out,
-                                   IoIssue issue) {
-  if (addr + out.size() > capacity_) {
-    return OutOfRangeError("flash read past end of device");
-  }
-  if (out.empty()) {
-    return Duration{0};
-  }
-  // A read may span sectors but not banks (callers split larger transfers;
-  // the FTL never issues cross-bank reads).
-  const int bank = BankOfAddress(addr);
-  if (BankOfAddress(addr + out.size() - 1) != bank) {
-    return InvalidArgumentError("flash read crosses a bank boundary");
-  }
-  for (uint64_t s = SectorOfAddr(addr);
-       s <= SectorOfAddr(addr + out.size() - 1); ++s) {
-    if (sectors_[s].bad) {
-      return DataLossError("read from worn-out flash sector " +
-                           std::to_string(s));
-    }
-    if (fault_reads_remaining_ > 0 && s == fault_sector_) {
-      fault_reads_remaining_ -= 1;
-      return InternalError("injected read fault in flash sector " +
-                           std::to_string(s));
-    }
-  }
-
-  const Duration op_ns = spec_.read.LatencyFor(out.size());
-  const IoScheduler::Dispatch d =
-      SubmitOp(IoOp::kRead, bank, addr, out.size(), op_ns, issue);
-  if (issue.blocking) {
-    stats_.read_stall_ns.Add(static_cast<uint64_t>(d.wait));
-    clock_.AdvanceTo(d.complete);
-  }
-
-  uint64_t pos = addr;
-  uint8_t* dst = out.data();
-  uint64_t remaining = out.size();
-  while (remaining > 0) {
-    const uint64_t s = SectorOfAddr(pos);
-    const uint64_t off = OffsetInSector(pos);
-    const uint64_t n = std::min(remaining, sector_bytes() - off);
-    CopyOut(s, off, n, dst);
-    dst += n;
-    pos += n;
-    remaining -= n;
-  }
-  if (validate_payloads_) {
-    CheckAgainstShadow(addr, out.data(), out.size());
-  }
-  stats_.reads.Add();
-  stats_.read_bytes.Add(out.size());
-  return d.wait + op_ns;
-}
-
-void FlashDevice::CopyOut(uint64_t sector, uint64_t off, uint64_t n,
-                          uint8_t* dst) const {
-  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
-  if (!extents.empty()) {
-    // Fast path: the range is exactly one programmed extent (the FTL's
-    // page-granular reads) — one memcpy, no background fill. Extent content
-    // wins over flat content trivially: erase-before-write keeps the two
-    // representations disjoint, so flat bytes under an extent are 0xFF.
-    auto it = std::lower_bound(
-        extents.begin(), extents.end(), off,
-        [](const ExtentEntry& e, uint64_t o) { return e.offset < o; });
-    if (it != extents.end() && it->offset == off && it->ref.size() == n) {
-      std::memcpy(dst, it->ref.data(), n);
-      return;
-    }
-    // General path: flat (or erased) background, then overlay every
-    // intersecting extent.
-    if (const uint8_t* src = sector_data_[sector].get()) {
-      std::memcpy(dst, src + off, n);
-    } else {
-      std::memset(dst, kErasedByte, n);
-    }
-    if (it != extents.begin()) {
-      --it;  // The previous extent may begin before `off` and reach into it.
-    }
-    for (; it != extents.end() && it->offset < off + n; ++it) {
-      const uint64_t lo = std::max<uint64_t>(off, it->offset);
-      const uint64_t hi =
-          std::min<uint64_t>(off + n, it->offset + it->ref.size());
-      if (lo < hi) {
-        std::memcpy(dst + (lo - off), it->ref.data() + (lo - it->offset),
-                    hi - lo);
-      }
-    }
-    return;
-  }
-  if (const uint8_t* src = sector_data_[sector].get()) {
-    std::memcpy(dst, src + off, n);
-  } else {
-    std::memset(dst, kErasedByte, n);
-  }
-}
-
-Result<PayloadRef> FlashDevice::ReadExtent(uint64_t addr, uint64_t bytes,
-                                           ExtentPool& pool, IoIssue issue) {
-  assert(pool.payload_bytes() == bytes &&
-         "ReadExtent assembles into whole pool extents");
+template <typename Fill>
+Result<Duration> FlashDevice::ReadOp(uint64_t addr, uint64_t bytes,
+                                     IoIssue issue, Fill fill) {
   if (addr + bytes > capacity_) {
     return OutOfRangeError("flash read past end of device");
   }
   if (bytes == 0) {
-    return PayloadRef{};
+    return Duration{0};
   }
+  // A read may span sectors but not banks (callers split larger transfers;
+  // the FTL never issues cross-bank reads).
   const int bank = BankOfAddress(addr);
   if (BankOfAddress(addr + bytes - 1) != bank) {
     return InvalidArgumentError("flash read crosses a bank boundary");
@@ -249,55 +165,101 @@ Result<PayloadRef> FlashDevice::ReadExtent(uint64_t addr, uint64_t bytes,
     stats_.read_stall_ns.Add(static_cast<uint64_t>(d.wait));
     clock_.AdvanceTo(d.complete);
   }
-
-  PayloadRef payload;
-  const uint64_t sector = SectorOfAddr(addr);
-  const uint64_t off = OffsetInSector(addr);
-  if (off + bytes <= sector_bytes()) {
-    const std::vector<ExtentEntry>& extents = sector_extents_[sector];
-    auto it = std::lower_bound(
-        extents.begin(), extents.end(), off,
-        [](const ExtentEntry& e, uint64_t o) { return e.offset < o; });
-    if (it != extents.end() && it->offset == off && it->ref.size() == bytes) {
-      payload = it->ref;  // Zero-copy: share the stored extent.
-    }
-  }
-  if (!payload) {
-    // No exact match (flat-programmed or fragmented range): assemble a copy,
-    // exactly what Read would have produced.
-    payload = pool.Allocate();
-    uint8_t* dst = payload.MutableData();
-    uint64_t pos = addr;
-    uint64_t remaining = bytes;
-    while (remaining > 0) {
-      const uint64_t s = SectorOfAddr(pos);
-      const uint64_t o = OffsetInSector(pos);
-      const uint64_t n = std::min(remaining, sector_bytes() - o);
-      CopyOut(s, o, n, dst);
-      dst += n;
-      pos += n;
-      remaining -= n;
-    }
-  }
+  const uint8_t* got = fill();
   if (validate_payloads_) {
-    CheckAgainstShadow(addr, payload.data(), bytes);
+    CheckAgainstShadow(addr, got, bytes);
   }
   stats_.reads.Add();
   stats_.read_bytes.Add(bytes);
+  return d.wait + op_ns;
+}
+
+Result<Duration> FlashDevice::Read(uint64_t addr, std::span<uint8_t> out,
+                                   IoIssue issue) {
+  return ReadOp(addr, out.size(), issue, [&] {
+    CopyRange(addr, out.size(), out.data());
+    return out.data();
+  });
+}
+
+Result<PayloadRef> FlashDevice::ReadExtent(uint64_t addr, uint64_t bytes,
+                                           ExtentPool& pool, IoIssue issue) {
+  assert(pool.payload_bytes() == bytes &&
+         "ReadExtent assembles into whole pool extents");
+  PayloadRef payload;
+  Result<Duration> read = ReadOp(addr, bytes, issue, [&] {
+    if (const PayloadRef* stored =
+            ExactExtent(SectorOfAddr(addr), OffsetInSector(addr), bytes)) {
+      payload = *stored;  // Zero-copy: share the stored extent.
+    } else {
+      // Flat-programmed or fragmented range: assemble a copy, exactly what
+      // Read would have produced.
+      payload = pool.Allocate();
+      CopyRange(addr, bytes, payload.MutableData());
+    }
+    return payload.data();
+  });
+  if (!read.ok()) {
+    return read.status();
+  }
   return payload;
 }
 
-Result<Duration> FlashDevice::Program(uint64_t addr,
-                                      std::span<const uint8_t> data,
-                                      IoIssue issue) {
-  if (addr + data.size() > capacity_) {
+void FlashDevice::CopyRange(uint64_t addr, uint64_t n, uint8_t* dst) const {
+  while (n > 0) {
+    const uint64_t s = SectorOfAddr(addr);
+    const uint64_t off = OffsetInSector(addr);
+    const uint64_t chunk = std::min(n, sector_bytes() - off);
+    CopyOut(s, off, chunk, dst);
+    dst += chunk;
+    addr += chunk;
+    n -= chunk;
+  }
+}
+
+void FlashDevice::CopyOut(uint64_t sector, uint64_t off, uint64_t n,
+                          uint8_t* dst) const {
+  // Fast path: the range is exactly one programmed extent (the FTL's
+  // page-granular reads) — one memcpy, no background fill. Extent content
+  // wins over flat content trivially: erase-before-write keeps the two
+  // representations disjoint, so flat bytes under an extent are 0xFF.
+  if (const PayloadRef* stored = ExactExtent(sector, off, n)) {
+    std::memcpy(dst, stored->data(), n);
+    return;
+  }
+  // General path: flat (or erased) background, then overlay every
+  // intersecting extent.
+  if (const uint8_t* src = sector_data_[sector].get()) {
+    std::memcpy(dst, src + off, n);
+  } else {
+    std::memset(dst, kErasedByte, n);
+  }
+  ForEachExtentIn(sector, off, n,
+                  [&](uint64_t lo, const uint8_t* p, uint64_t len) {
+                    std::memcpy(dst + (lo - off), p, len);
+                  });
+}
+
+const PayloadRef* FlashDevice::ExactExtent(uint64_t sector, uint64_t off,
+                                           uint64_t n) const {
+  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
+  auto it = ExtentAtOrAfter(extents, off);
+  return it != extents.end() && it->offset == off && it->ref.size() == n
+             ? &it->ref
+             : nullptr;
+}
+
+Result<Duration> FlashDevice::ProgramOp(uint64_t addr, const uint8_t* src,
+                                        uint64_t bytes, PayloadRef* extent,
+                                        IoIssue issue) {
+  if (addr + bytes > capacity_) {
     return OutOfRangeError("flash program past end of device");
   }
-  if (data.empty()) {
+  if (bytes == 0) {
     return Duration{0};
   }
   const uint64_t sector = SectorOfAddr(addr);
-  if (SectorOfAddr(addr + data.size() - 1) != sector) {
+  if (SectorOfAddr(addr + bytes - 1) != sector) {
     return InvalidArgumentError("flash program crosses a sector boundary");
   }
   Sector& meta = sectors_[sector];
@@ -312,126 +274,76 @@ Result<Duration> FlashDevice::Program(uint64_t addr,
   const uint64_t off = OffsetInSector(addr);
   if (off < meta.programmed_end) {
     uint64_t first_programmed = 0;
-    if (!RangeErased(sector, off, data.size(), &first_programmed)) {
+    if (!RangeErased(sector, off, bytes, &first_programmed)) {
       return FailedPreconditionError(
           "program to non-erased flash byte at address " +
           std::to_string(first_programmed));
     }
   }
 
+  // A torn program (FailNextProgramAfterBytes) is never scheduled, and only
+  // its prefix reaches the medium.
+  bool torn = false;
+  uint64_t landed = bytes;
   if (torn_program_armed_) {
     if (torn_program_skip_ > 0) {
       --torn_program_skip_;
     } else {
       torn_program_armed_ = false;
-      const uint64_t applied =
-          std::min<uint64_t>(torn_program_bytes_, data.size());
-      if (applied > 0) {
-        std::memcpy(MaterializeSector(sector) + off, data.data(), applied);
-        if (validate_payloads_) {
-          std::memcpy(ShadowSector(sector) + off, data.data(), applied);
-        }
-        meta.programmed_end = std::max(meta.programmed_end,
-                                       static_cast<uint32_t>(off + applied));
-      }
-      stats_.torn_programs.Add();
-      return InternalError("injected torn program at flash address " +
-                           std::to_string(addr));
+      torn = true;
+      landed = std::min<uint64_t>(torn_program_bytes_, bytes);
     }
   }
-
-  const Duration op_ns = spec_.program.LatencyFor(data.size());
-  const IoScheduler::Dispatch d = SubmitOp(
-      IoOp::kProgram, BankOfAddress(addr), addr, data.size(), op_ns, issue);
-  if (issue.blocking) {
-    clock_.AdvanceTo(d.complete);
+  Duration latency = 0;
+  if (!torn) {
+    const Duration op_ns = spec_.program.LatencyFor(bytes);
+    const IoScheduler::Dispatch d = SubmitOp(
+        IoOp::kProgram, BankOfSector(sector), addr, bytes, op_ns, issue);
+    if (issue.blocking) {
+      clock_.AdvanceTo(d.complete);
+    }
+    latency = d.wait + op_ns;
   }
-
-  std::memcpy(MaterializeSector(sector) + off, data.data(), data.size());
-  if (validate_payloads_) {
-    std::memcpy(ShadowSector(sector) + off, data.data(), data.size());
+  if (landed > 0) {
+    if (extent != nullptr && !torn) {
+      // File the ref instead of copying the bytes: the device is now one
+      // more holder of the extent.
+      std::vector<ExtentEntry>& extents = sector_extents_[sector];
+      extents.insert(ExtentAtOrAfter(extents, off),
+                     ExtentEntry{static_cast<uint32_t>(off),
+                                 std::move(*extent)});
+    } else {
+      // Span programs, and torn prefixes of either variant (a torn extent is
+      // no longer the extent the writer handed over), land flat.
+      std::memcpy(Materialize(sector_data_[sector]) + off, src, landed);
+    }
+    if (validate_payloads_) {
+      std::memcpy(Materialize(shadow_data_[sector]) + off, src, landed);
+    }
+    meta.programmed_end =
+        std::max(meta.programmed_end, static_cast<uint32_t>(off + landed));
   }
-  meta.programmed_end =
-      std::max(meta.programmed_end, static_cast<uint32_t>(off + data.size()));
+  if (torn) {
+    stats_.torn_programs.Add();
+    return InternalError("injected torn program at flash address " +
+                         std::to_string(addr));
+  }
   stats_.programs.Add();
-  stats_.programmed_bytes.Add(data.size());
-  return d.wait + op_ns;
+  stats_.programmed_bytes.Add(bytes);
+  return latency;
+}
+
+Result<Duration> FlashDevice::Program(uint64_t addr,
+                                      std::span<const uint8_t> data,
+                                      IoIssue issue) {
+  return ProgramOp(addr, data.data(), data.size(), /*extent=*/nullptr, issue);
 }
 
 Result<Duration> FlashDevice::ProgramExtent(uint64_t addr, PayloadRef payload,
                                             IoIssue issue) {
   const uint64_t size = payload.size();
-  if (addr + size > capacity_) {
-    return OutOfRangeError("flash program past end of device");
-  }
-  if (size == 0) {
-    return Duration{0};
-  }
-  const uint64_t sector = SectorOfAddr(addr);
-  if (SectorOfAddr(addr + size - 1) != sector) {
-    return InvalidArgumentError("flash program crosses a sector boundary");
-  }
-  Sector& meta = sectors_[sector];
-  if (meta.bad) {
-    return DataLossError("program to worn-out flash sector " +
-                         std::to_string(sector));
-  }
-  const uint64_t off = OffsetInSector(addr);
-  if (off < meta.programmed_end) {
-    uint64_t first_programmed = 0;
-    if (!RangeErased(sector, off, size, &first_programmed)) {
-      return FailedPreconditionError(
-          "program to non-erased flash byte at address " +
-          std::to_string(first_programmed));
-    }
-  }
-
-  if (torn_program_armed_) {
-    if (torn_program_skip_ > 0) {
-      --torn_program_skip_;
-    } else {
-      torn_program_armed_ = false;
-      // The surviving prefix lands in the flat representation: a torn extent
-      // is no longer the extent the writer handed over, so filing the ref
-      // would misrepresent the medium.
-      const uint64_t applied = std::min<uint64_t>(torn_program_bytes_, size);
-      if (applied > 0) {
-        std::memcpy(MaterializeSector(sector) + off, payload.data(), applied);
-        if (validate_payloads_) {
-          std::memcpy(ShadowSector(sector) + off, payload.data(), applied);
-        }
-        meta.programmed_end = std::max(meta.programmed_end,
-                                       static_cast<uint32_t>(off + applied));
-      }
-      stats_.torn_programs.Add();
-      return InternalError("injected torn program at flash address " +
-                           std::to_string(addr));
-    }
-  }
-
-  const Duration op_ns = spec_.program.LatencyFor(size);
-  const IoScheduler::Dispatch d =
-      SubmitOp(IoOp::kProgram, BankOfAddress(addr), addr, size, op_ns, issue);
-  if (issue.blocking) {
-    clock_.AdvanceTo(d.complete);
-  }
-
-  if (validate_payloads_) {
-    std::memcpy(ShadowSector(sector) + off, payload.data(), size);
-  }
-  // File the ref instead of copying the bytes: the device is now one more
-  // holder of the extent.
-  std::vector<ExtentEntry>& extents = sector_extents_[sector];
-  auto it = std::lower_bound(
-      extents.begin(), extents.end(), off,
-      [](const ExtentEntry& e, uint64_t o) { return e.offset < o; });
-  extents.insert(it,
-                 ExtentEntry{static_cast<uint32_t>(off), std::move(payload)});
-  meta.programmed_end =
-      std::max(meta.programmed_end, static_cast<uint32_t>(off + size));
-  stats_.programs.Add();
-  stats_.programmed_bytes.Add(size);
-  return d.wait + op_ns;
+  return ProgramOp(addr, size > 0 ? payload.data() : nullptr, size, &payload,
+                   issue);
 }
 
 bool FlashDevice::RangeErased(uint64_t sector, uint64_t off, uint64_t n,
@@ -452,28 +364,18 @@ bool FlashDevice::RangeErased(uint64_t sector, uint64_t off, uint64_t n,
   // Extent representation: every entry intersecting the range. Disjointness
   // means an extent's bytes are 0xFF in the flat buffer, so the minimum over
   // both scans names the true first programmed byte.
-  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
-  auto it = std::upper_bound(
-      extents.begin(), extents.end(), off,
-      [](uint64_t o, const ExtentEntry& e) { return o < e.offset; });
-  if (it != extents.begin()) {
-    --it;
-  }
-  for (; it != extents.end() && it->offset < off + n; ++it) {
-    const uint64_t lo = std::max<uint64_t>(off, it->offset);
-    const uint64_t hi = std::min<uint64_t>(off + n, it->offset + it->ref.size());
-    if (lo >= hi || lo >= first) {
-      continue;
-    }
-    const uint8_t* p = it->ref.data() + (lo - it->offset);
-    if (std::memcmp(p, erased_template_.data(), hi - lo) != 0) {
-      uint64_t i = 0;
-      while (p[i] == kErasedByte) {
-        ++i;
-      }
-      first = std::min(first, lo + i);
-    }
-  }
+  ForEachExtentIn(sector, off, n,
+                  [&](uint64_t lo, const uint8_t* p, uint64_t len) {
+                    if (lo >= first ||
+                        std::memcmp(p, erased_template_.data(), len) == 0) {
+                      return;
+                    }
+                    uint64_t i = 0;
+                    while (p[i] == kErasedByte) {
+                      ++i;
+                    }
+                    first = std::min(first, lo + i);
+                  });
   if (first == ~uint64_t{0}) {
     return true;
   }
@@ -569,17 +471,7 @@ bool FlashDevice::IsSectorErased(uint64_t sector) const {
          std::memcmp(data_ptr, erased_template_.data(), sector_bytes()) == 0;
 }
 
-uint8_t* FlashDevice::MaterializeSector(uint64_t sector) {
-  std::unique_ptr<uint8_t[]>& slot = sector_data_[sector];
-  if (!slot) {
-    slot.reset(new uint8_t[sector_bytes()]);
-    std::memset(slot.get(), kErasedByte, sector_bytes());
-  }
-  return slot.get();
-}
-
-uint8_t* FlashDevice::ShadowSector(uint64_t sector) {
-  std::unique_ptr<uint8_t[]>& slot = shadow_data_[sector];
+uint8_t* FlashDevice::Materialize(std::unique_ptr<uint8_t[]>& slot) {
   if (!slot) {
     slot.reset(new uint8_t[sector_bytes()]);
     std::memset(slot.get(), kErasedByte, sector_bytes());
@@ -601,7 +493,7 @@ void FlashDevice::set_validate_payloads(bool on) {
   shadow_data_.resize(num_sectors());
   for (uint64_t s = 0; s < num_sectors(); ++s) {
     if (sector_data_[s] != nullptr || !sector_extents_[s].empty()) {
-      CopyOut(s, 0, sector_bytes(), ShadowSector(s));
+      CopyOut(s, 0, sector_bytes(), Materialize(shadow_data_[s]));
     }
   }
 }

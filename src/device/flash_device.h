@@ -105,9 +105,10 @@ class FlashDevice {
   Result<Duration> Program(uint64_t addr, std::span<const uint8_t> data,
                            IoIssue issue = {});
 
-  // Zero-copy variants for the FTL data plane. Validation, simulated timing,
-  // energy, and stats are identical to Read/Program byte-for-byte; only the
-  // host-side payload representation differs.
+  // Zero-copy variants for the FTL data plane. They share Read's and
+  // Program's single implementation (validation, fault injection, simulated
+  // timing, energy, stats); only the host-side payload representation
+  // differs.
   //
   // ProgramExtent files the refcounted payload against the sector instead of
   // memcpying it into a flat buffer: the device becomes one more holder of
@@ -292,9 +293,21 @@ class FlashDevice {
     return d;
   }
 
-  // Returns the sector's payload buffer, materializing (and 0xFF-filling) it
-  // on first touch.
-  uint8_t* MaterializeSector(uint64_t sector);
+  // The one read path behind Read and ReadExtent: bounds, bank crossing,
+  // worn-out and injected-fault checks, dispatch, clock advance and stall
+  // accounting. Then `fill()` produces the bytes in the variant's
+  // representation and returns a pointer to them for the payload oracle.
+  // An in-range zero-byte read never calls `fill` and costs nothing.
+  template <typename Fill>
+  Result<Duration> ReadOp(uint64_t addr, uint64_t bytes, IoIssue issue,
+                          Fill fill);
+
+  // The one program path behind Program and ProgramExtent. `src` holds the
+  // `bytes` to program; a non-null `extent` (whose payload is `src`) is
+  // filed against the sector instead of copying the bytes flat.
+  Result<Duration> ProgramOp(uint64_t addr, const uint8_t* src,
+                             uint64_t bytes, PayloadRef* extent,
+                             IoIssue issue);
 
   // One programmed extent within a sector: `ref`'s payload covers
   // [offset, offset + ref.size()). Entries are kept sorted by offset and
@@ -306,20 +319,33 @@ class FlashDevice {
     PayloadRef ref;
   };
 
+  // Calls fn(lo, p, len) for each extent of `sector` intersecting
+  // [off, off + n), where `p` holds that extent's share [lo, lo + len) of
+  // the sector.
+  template <typename Fn>
+  void ForEachExtentIn(uint64_t sector, uint64_t off, uint64_t n,
+                       Fn fn) const;
+
+  // The stored extent covering exactly [off, off + n) of `sector`, or null.
+  const PayloadRef* ExactExtent(uint64_t sector, uint64_t off,
+                                uint64_t n) const;
+
   // Assembles [off, off + n) of `sector` into `dst`: flat bytes (or 0xFF for
   // unmaterialized) overlaid with every intersecting extent. Exact
   // single-extent matches short-circuit to one memcpy.
   void CopyOut(uint64_t sector, uint64_t off, uint64_t n, uint8_t* dst) const;
+  // CopyOut over [addr, addr + n), which may span sectors.
+  void CopyRange(uint64_t addr, uint64_t n, uint8_t* dst) const;
 
   // Erased check for [off, off + n) across both representations. On failure
-  // returns the absolute address of the first non-erased byte (for the
-  // error message); returns n (i.e. off + n relative) sentinel via bool.
+  // returns false and stores the absolute address of the first non-erased
+  // byte (for the error message) in *first_programmed_addr.
   bool RangeErased(uint64_t sector, uint64_t off, uint64_t n,
                    uint64_t* first_programmed_addr) const;
 
-  // Shadow flat card for validate_payloads mode (lazy per sector, 0xFF
-  // before first program like sector_data_).
-  uint8_t* ShadowSector(uint64_t sector);
+  // Returns a flat sector buffer, allocating (and 0xFF-filling) it on first
+  // touch: the card's flat payloads and the validate_payloads shadow.
+  uint8_t* Materialize(std::unique_ptr<uint8_t[]>& slot);
   // memcmp `got` against the shadow's [addr, addr + n); logs + counts on
   // mismatch.
   void CheckAgainstShadow(uint64_t addr, const uint8_t* got, uint64_t n);

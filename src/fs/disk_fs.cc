@@ -16,6 +16,8 @@ constexpr uint32_t kModeFree = 0;
 constexpr uint32_t kModeFile = 1;
 constexpr uint32_t kModeDir = 2;
 constexpr char kMagic[8] = {'s', 's', 'm', 'c', 'd', 'f', 's', '1'};
+// Number of allocation groups for clustered placement.
+constexpr uint64_t kAllocationGroups = 8;
 
 uint64_t DivCeil(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 }  // namespace
@@ -65,11 +67,11 @@ void DiskFileSystem::Mkfs() {
 uint64_t DiskFileSystem::GroupOfBlock(uint64_t block) const {
   const uint64_t data_blocks = layout_.total_blocks - layout_.data_start;
   const uint64_t group_size =
-      std::max<uint64_t>(1, data_blocks / options_.allocation_groups);
+      std::max<uint64_t>(1, data_blocks / kAllocationGroups);
   if (block < layout_.data_start) {
     return 0;
   }
-  return std::min(options_.allocation_groups - 1,
+  return std::min(kAllocationGroups - 1,
                   (block - layout_.data_start) / group_size);
 }
 
@@ -167,7 +169,7 @@ Status DiskFileSystem::FreeInode(uint32_t ino) {
 Result<uint32_t> DiskFileSystem::AllocateDataBlock(uint32_t hint_block) {
   const uint64_t data_blocks = layout_.total_blocks - layout_.data_start;
   const uint64_t group_size =
-      std::max<uint64_t>(1, data_blocks / options_.allocation_groups);
+      std::max<uint64_t>(1, data_blocks / kAllocationGroups);
   const uint64_t start_group = hint_block != 0 ? GroupOfBlock(hint_block) : 0;
   const uint64_t start = layout_.data_start + start_group * group_size;
 
@@ -204,10 +206,10 @@ Result<uint32_t> DiskFileSystem::GetFileBlock(uint32_t ino, DiskInode& inode,
                             ? inode.direct[0]
                             : static_cast<uint32_t>(
                                   layout_.data_start +
-                                  (ino % options_.allocation_groups) *
+                                  (ino % kAllocationGroups) *
                                       ((layout_.total_blocks -
                                         layout_.data_start) /
-                                       options_.allocation_groups));
+                                       kAllocationGroups));
 
   // Allocates a fresh, zeroed data block. Zeroing matters: the block may
   // have been freed from another file, and its stale on-disk contents must

@@ -41,8 +41,6 @@ struct DiskFsOptions {
   // Classical UNIX semantics: metadata (inodes, bitmaps, directories) is
   // written through to disk for crash consistency; file data is write-back.
   bool sync_metadata = true;
-  // Number of allocation groups for clustered placement.
-  uint64_t allocation_groups = 8;
 };
 
 class DiskFileSystem : public FileSystem {

@@ -42,8 +42,6 @@ namespace ssmc {
 struct LogFsOptions {
   uint64_t block_bytes = 4096;
   uint64_t segment_blocks = 64;  // 256 KiB segments at 4 KiB blocks.
-  // Cleaning starts when the free-segment pool drops to this level.
-  uint64_t free_segment_low_water = 2;
 };
 
 class LogFileSystem : public FileSystem {

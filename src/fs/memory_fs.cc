@@ -296,7 +296,6 @@ Result<uint64_t> MemoryFileSystem::Read(const std::string& path,
   }
   const uint64_t n = std::min<uint64_t>(out.size(), inode.size - offset);
   const uint64_t bs = block_bytes();
-  std::vector<uint8_t> staging(bs);
   ResidencyManager& res = storage_.residency();
 
   uint64_t done = 0;
@@ -315,9 +314,11 @@ Result<uint64_t> MemoryFileSystem::Read(const std::string& path,
 
     switch (where) {
       case Residency::kDirty: {
-        // Dirty block: serve from the DRAM buffer.
-        SSMC_RETURN_IF_ERROR(buffer_.Get(key, staging));
-        std::memcpy(out.data() + done, staging.data() + in_block, chunk);
+        // Dirty block: serve from the DRAM buffer, through the whole-block
+        // staging buffer (nothing between the Get and the copy stages).
+        staging_.resize(bs);
+        SSMC_RETURN_IF_ERROR(buffer_.Get(key, staging_));
+        std::memcpy(out.data() + done, staging_.data() + in_block, chunk);
         stats_.buffered_read_bytes.Add(chunk);
         res.TouchRead(key, now);
         break;

@@ -305,11 +305,13 @@ class MemoryFileSystem : public FileSystem {
   // emission from the mutation paths replay reuses.
   bool replaying_ = false;
   TenantId tenant_ = kDefaultTenant;
-  // StageBlockWrite's read-modify-write block for partial writes, sized on
-  // first use. Invariant: nothing StageBlockWrite calls re-enters it (a
+  // One block-sized staging buffer, sized on first use: StageBlockWrite's
+  // read-modify-write block for partial writes, and Read's copy of a dirty
+  // block. Invariant: nothing StageBlockWrite calls re-enters it (a
   // write-buffer eviction drains through FlushBlock, which programs flash
-  // and appends to the journal but stages nothing), so one block is never
-  // in use twice.
+  // and appends to the journal but stages nothing), and Read holds it only
+  // from a WriteBuffer::Get to the copy out, so one block is never in use
+  // twice.
   std::vector<uint8_t> staging_;
   Stats stats_;
   Obs* obs_ = nullptr;

@@ -130,7 +130,7 @@ FlashStore::FlashStore(FlashDevice& flash, FlashStoreOptions options)
   // requested overprovisioning fraction, whichever is larger.
   const uint64_t min_reserve =
       std::max(static_cast<uint64_t>(flash_.num_banks()) + 1,
-               options_.free_sector_low_water + 2);
+               kFreeSectorLowWater + 2);
   const uint64_t reserve = std::max(
       min_reserve, static_cast<uint64_t>(
                        std::ceil(options_.overprovision *
@@ -246,7 +246,7 @@ Result<uint64_t> FlashStore::AllocatePage(WriteStream stream,
     }
   }
   // Proactive cleaning keeps the free pool above the low-water mark.
-  if (allow_clean && free_sectors() <= options_.free_sector_low_water) {
+  if (allow_clean && free_sectors() <= kFreeSectorLowWater) {
     SSMC_RETURN_IF_ERROR(Clean());
   }
 
@@ -329,23 +329,6 @@ Result<uint64_t> FlashStore::AllocatePage(WriteStream stream,
   return static_cast<uint64_t>(page);
 }
 
-Result<Duration> FlashStore::WriteInternal(uint64_t block,
-                                           std::span<const uint8_t> data,
-                                           WriteStream stream,
-                                           bool allow_clean, IoIssue issue) {
-  if (block >= num_logical_blocks_) {
-    return OutOfRangeError("flash store block out of range");
-  }
-  if (data.size() != options_.block_bytes) {
-    return InvalidArgumentError("flash store writes are whole blocks");
-  }
-  // The data plane's single copy: the caller's span becomes a pooled extent
-  // here, and from this point on only the ref moves (program, relocation,
-  // cache promotion).
-  return WriteInternalRef(block, extent_pool_.AllocateCopy(data.data()),
-                          stream, allow_clean, issue);
-}
-
 Result<Duration> FlashStore::WriteInternalRef(uint64_t block, PayloadRef data,
                                               WriteStream stream,
                                               bool allow_clean, IoIssue issue) {
@@ -398,11 +381,6 @@ Result<Duration> FlashStore::WriteInternalRef(uint64_t block, PayloadRef data,
 }
 
 Result<Duration> FlashStore::Write(uint64_t block,
-                                   std::span<const uint8_t> data) {
-  return Write(block, data, WriteStream::kUser);
-}
-
-Result<Duration> FlashStore::Write(uint64_t block,
                                    std::span<const uint8_t> data,
                                    WriteStream hint) {
   // Background mode means the write is flush traffic draining in the
@@ -416,16 +394,15 @@ Result<Duration> FlashStore::Write(uint64_t block,
                                    std::span<const uint8_t> data,
                                    WriteStream hint, IoPriority priority,
                                    TenantId tenant) {
-  Result<Duration> r =
-      WriteInternal(block, data, hint, /*allow_clean=*/true,
-                    UserIssue(priority, tenant));
-  if (r.ok()) {
-    stats_.user_writes.Add();
-    TenantIoStats& lane = stats_.by_tenant.For(tenant);
-    lane.writes.Add();
-    lane.written_bytes.Add(data.size());
+  // The data plane's single copy: the caller's span becomes a pooled extent
+  // here, and from this point on only the ref moves (program, relocation,
+  // cache promotion). An out-of-range block or a wrong-sized span skips the
+  // copy, and WriteRef refuses the empty ref with the same errors.
+  PayloadRef ref;
+  if (block < num_logical_blocks_ && data.size() == options_.block_bytes) {
+    ref = extent_pool_.AllocateCopy(data.data());
   }
-  return r;
+  return WriteRef(block, std::move(ref), hint, priority, tenant);
 }
 
 Result<Duration> FlashStore::WriteRef(uint64_t block, PayloadRef data,
@@ -444,60 +421,48 @@ Result<Duration> FlashStore::WriteRef(uint64_t block, PayloadRef data,
   return r;
 }
 
-Result<Duration> FlashStore::Read(uint64_t block, std::span<uint8_t> out) {
-  return Read(block, out, IoIssue{});
-}
-
 Result<Duration> FlashStore::Read(uint64_t block, std::span<uint8_t> out,
                                   IoIssue issue) {
-  if (block >= num_logical_blocks_) {
-    return OutOfRangeError("flash store block out of range");
-  }
-  if (out.size() != options_.block_bytes) {
+  // Checked after the block range, like every read's errors.
+  if (block < num_logical_blocks_ && out.size() != options_.block_bytes) {
     return InvalidArgumentError("flash store reads are whole blocks");
   }
-  const uint64_t page = MappedPage(block);
-  if (page == kUnmapped) {
-    return NotFoundError("flash store block " + std::to_string(block) +
-                         " is not mapped");
-  }
-  Result<Duration> r = flash_.Read(PageAddress(page), out, issue);
-  if (r.ok()) {
-    stats_.user_reads.Add();
-    TenantIoStats& lane = stats_.by_tenant.For(issue.tenant);
-    lane.reads.Add();
-    lane.read_bytes.Add(out.size());
-  }
-  return r;
-}
-
-Result<PayloadRef> FlashStore::ReadRef(uint64_t block, IoIssue issue) {
-  if (block >= num_logical_blocks_) {
-    return OutOfRangeError("flash store block out of range");
-  }
-  const uint64_t page = MappedPage(block);
-  if (page == kUnmapped) {
-    return NotFoundError("flash store block " + std::to_string(block) +
-                         " is not mapped");
-  }
-  Result<PayloadRef> r = flash_.ReadExtent(
-      PageAddress(page), options_.block_bytes, extent_pool_, issue);
-  if (r.ok()) {
-    stats_.user_reads.Add();
-    TenantIoStats& lane = stats_.by_tenant.For(issue.tenant);
-    lane.reads.Add();
-    lane.read_bytes.Add(options_.block_bytes);
-  }
-  return r;
+  return ReadPartial(block, 0, out, issue);
 }
 
 Result<Duration> FlashStore::ReadPartial(uint64_t block, uint64_t offset,
                                          std::span<uint8_t> out,
                                          IoIssue issue) {
+  Result<uint64_t> addr = ReadAddress(block, offset, out.size());
+  if (!addr.ok()) {
+    return addr.status();
+  }
+  Result<Duration> r = flash_.Read(addr.value(), out, issue);
+  if (r.ok()) {
+    BillRead(issue.tenant, out.size());
+  }
+  return r;
+}
+
+Result<PayloadRef> FlashStore::ReadRef(uint64_t block, IoIssue issue) {
+  Result<uint64_t> addr = ReadAddress(block, 0, options_.block_bytes);
+  if (!addr.ok()) {
+    return addr.status();
+  }
+  Result<PayloadRef> r = flash_.ReadExtent(addr.value(), options_.block_bytes,
+                                           extent_pool_, issue);
+  if (r.ok()) {
+    BillRead(issue.tenant, options_.block_bytes);
+  }
+  return r;
+}
+
+Result<uint64_t> FlashStore::ReadAddress(uint64_t block, uint64_t offset,
+                                         uint64_t bytes) const {
   if (block >= num_logical_blocks_) {
     return OutOfRangeError("flash store block out of range");
   }
-  if (offset + out.size() > options_.block_bytes) {
+  if (offset + bytes > options_.block_bytes) {
     return OutOfRangeError("partial read exceeds block bounds");
   }
   const uint64_t page = MappedPage(block);
@@ -505,15 +470,14 @@ Result<Duration> FlashStore::ReadPartial(uint64_t block, uint64_t offset,
     return NotFoundError("flash store block " + std::to_string(block) +
                          " is not mapped");
   }
-  Result<Duration> r =
-      flash_.Read(PageAddress(page) + offset, out, issue);
-  if (r.ok()) {
-    stats_.user_reads.Add();
-    TenantIoStats& lane = stats_.by_tenant.For(issue.tenant);
-    lane.reads.Add();
-    lane.read_bytes.Add(out.size());
-  }
-  return r;
+  return PageAddress(page) + offset;
+}
+
+void FlashStore::BillRead(TenantId tenant, uint64_t bytes) {
+  stats_.user_reads.Add();
+  TenantIoStats& lane = stats_.by_tenant.For(tenant);
+  lane.reads.Add();
+  lane.read_bytes.Add(bytes);
 }
 
 Status FlashStore::Trim(uint64_t block) {
@@ -617,7 +581,7 @@ Status FlashStore::Clean() {
       return evicted.status();
     }
   }
-  while (free_sectors() <= options_.free_sector_low_water) {
+  while (free_sectors() <= kFreeSectorLowWater) {
     Result<bool> cleaned = CleanOne();
     if (!cleaned.ok()) {
       status = cleaned.status();
@@ -648,48 +612,8 @@ Result<bool> FlashStore::CleanOne() {
   stats_.gc_runs.Add();
   const uint64_t relocations_before = stats_.gc_relocations.value();
 
-  // Relocate the victim's valid pages. Survivors go to the cold stream: a
-  // page that stayed valid while its neighbors died is read-mostly, so under
-  // bank segregation the cleaner continuously distills cold data out of the
-  // write-hot banks (the LFS hot/cold separation insight).
-  const WriteStream stream = WriteStream::kRelocation;
-  const uint64_t pps = pages_per_sector();
-  const uint64_t first_page = static_cast<uint64_t>(victim) * pps;
   DeferredSectorSync defer(*this, static_cast<uint64_t>(victim));
-  // The owners' map entries are scattered or cold; start pulling them in
-  // before the relocation loop takes its first dependent miss on each. (The
-  // payloads themselves are untouched: ReadExtent + WriteInternalRef move
-  // refs, not bytes.)
-  for (uint64_t p = first_page; p < first_page + pps; ++p) {
-    if (page_owner_[p] != kUnmapped) {
-      __builtin_prefetch(&map_[page_owner_[p]], 1);
-    }
-  }
-  flash_.PrefetchExtentIndex(static_cast<uint64_t>(victim));
-  for (uint64_t p = first_page; p < first_page + pps; ++p) {
-    const uint64_t owner = page_owner_[p];
-    if (owner == kUnmapped) {
-      continue;
-    }
-    // The move is billed to the tenant whose data survives, not to whoever
-    // triggered this cleaning pass.
-    const IoIssue issue = CleanerIssue(page_tenant_[p]);
-    Result<PayloadRef> read =
-        flash_.ReadExtent(PageAddress(p), options_.block_bytes, extent_pool_,
-                          issue);
-    if (!read.ok()) {
-      return read.status();
-    }
-    Result<Duration> moved =
-        WriteInternalRef(owner, std::move(read.value()), stream,
-                         /*allow_clean=*/false, issue);
-    if (!moved.ok()) {
-      return moved.status();
-    }
-    stats_.gc_relocations.Add();
-    stats_.by_tenant.For(issue.tenant).relocations.Add();
-  }
-
+  SSMC_RETURN_IF_ERROR(RelocateLiveData(static_cast<uint64_t>(victim)));
   SSMC_RETURN_IF_ERROR(EraseAndFree(static_cast<uint64_t>(victim)));
   if (obs_ != nullptr) {
     ObsCleanerSpan("clean", now, static_cast<uint64_t>(victim),
@@ -718,43 +642,56 @@ Result<bool> FlashStore::EvictColdSectorFromHotRange() {
     return false;
   }
   const uint64_t relocations_before = stats_.gc_relocations.value();
-  const uint64_t pps = pages_per_sector();
-  const uint64_t first_page = static_cast<uint64_t>(victim) * pps;
   DeferredSectorSync defer(*this, static_cast<uint64_t>(victim));
-  for (uint64_t p = first_page; p < first_page + pps; ++p) {
-    if (page_owner_[p] != kUnmapped) {
-      __builtin_prefetch(&map_[page_owner_[p]], 1);
-    }
-  }
-  flash_.PrefetchExtentIndex(static_cast<uint64_t>(victim));
-  for (uint64_t p = first_page; p < first_page + pps; ++p) {
-    const uint64_t owner = page_owner_[p];
-    if (owner == kUnmapped) {
-      continue;
-    }
-    const IoIssue issue = CleanerIssue(page_tenant_[p]);
-    Result<PayloadRef> read =
-        flash_.ReadExtent(PageAddress(p), options_.block_bytes, extent_pool_,
-                          issue);
-    if (!read.ok()) {
-      return read.status();
-    }
-    Result<Duration> moved =
-        WriteInternalRef(owner, std::move(read.value()),
-                         WriteStream::kRelocation,
-                         /*allow_clean=*/false, issue);
-    if (!moved.ok()) {
-      return moved.status();
-    }
-    stats_.gc_relocations.Add();
-    stats_.by_tenant.For(issue.tenant).relocations.Add();
-  }
+  SSMC_RETURN_IF_ERROR(RelocateLiveData(static_cast<uint64_t>(victim)));
   SSMC_RETURN_IF_ERROR(EraseAndFree(static_cast<uint64_t>(victim)));
   if (obs_ != nullptr) {
     ObsCleanerSpan("cold-evict", now, static_cast<uint64_t>(victim),
                    stats_.gc_relocations.value() - relocations_before);
   }
   return true;
+}
+
+Status FlashStore::RelocateLiveData(uint64_t sector) {
+  const uint64_t first_page = sector * pps_;
+  const uint64_t end_page = first_page + pps_;
+  // The owners' map entries are scattered or cold; start pulling them in
+  // before the relocation loop takes its first dependent miss on each. (The
+  // payloads themselves are untouched: ReadExtent + WriteInternalRef move
+  // refs, not bytes.)
+  for (uint64_t p = first_page; p < end_page; ++p) {
+    if (page_owner_[p] != kUnmapped) {
+      __builtin_prefetch(&map_[page_owner_[p]], 1);
+    }
+  }
+  flash_.PrefetchExtentIndex(sector);
+  for (uint64_t p = first_page; p < end_page; ++p) {
+    const uint64_t owner = page_owner_[p];
+    if (owner == kUnmapped) {
+      continue;
+    }
+    // The move is billed to the tenant whose data survives, not to whoever
+    // triggered this pass.
+    const IoIssue issue = CleanerIssue(page_tenant_[p]);
+    Result<PayloadRef> read = flash_.ReadExtent(
+        PageAddress(p), options_.block_bytes, extent_pool_, issue);
+    if (!read.ok()) {
+      return read.status();
+    }
+    // Survivors go to the cold stream: a page that stayed valid while its
+    // neighbors died is read-mostly, so under bank segregation relocation
+    // continuously distills cold data out of the write-hot banks (the LFS
+    // hot/cold separation insight).
+    Result<Duration> moved =
+        WriteInternalRef(owner, std::move(read.value()),
+                         WriteStream::kRelocation, /*allow_clean=*/false, issue);
+    if (!moved.ok()) {
+      return moved.status();
+    }
+    stats_.gc_relocations.Add();
+    stats_.by_tenant.For(issue.tenant).relocations.Add();
+  }
+  return Status::Ok();
 }
 
 Status FlashStore::EraseAndFree(uint64_t sector) {
@@ -826,40 +763,8 @@ void FlashStore::MaybeStaticWearLevel() {
   wear_leveling_ = true;
   const SimTime migrate_start = flash_.clock().now();
   const uint64_t relocations_before = stats_.gc_relocations.value();
-  const uint64_t pps = pages_per_sector();
-  const uint64_t first_page = static_cast<uint64_t>(coldest) * pps;
   DeferredSectorSync defer(*this, static_cast<uint64_t>(coldest));
-  for (uint64_t p = first_page; p < first_page + pps; ++p) {
-    if (page_owner_[p] != kUnmapped) {
-      __builtin_prefetch(&map_[page_owner_[p]], 1);
-    }
-  }
-  flash_.PrefetchExtentIndex(static_cast<uint64_t>(coldest));
-  Status migrate = Status::Ok();
-  for (uint64_t p = first_page; p < first_page + pps; ++p) {
-    const uint64_t owner = page_owner_[p];
-    if (owner == kUnmapped) {
-      continue;
-    }
-    const IoIssue issue = CleanerIssue(page_tenant_[p]);
-    Result<PayloadRef> read =
-        flash_.ReadExtent(PageAddress(p), options_.block_bytes, extent_pool_,
-                          issue);
-    if (read.ok()) {
-      Result<Duration> moved =
-          WriteInternalRef(owner, std::move(read.value()),
-                           WriteStream::kRelocation,
-                           /*allow_clean=*/false, issue);
-      migrate = moved.ok() ? Status::Ok() : moved.status();
-    } else {
-      migrate = read.status();
-    }
-    if (!migrate.ok()) {
-      break;
-    }
-    stats_.gc_relocations.Add();
-    stats_.by_tenant.For(issue.tenant).relocations.Add();
-  }
+  const Status migrate = RelocateLiveData(static_cast<uint64_t>(coldest));
   if (!migrate.ok()) {
     // A failed migration is survivable — the cold data simply stays where it
     // is and the next check retries — but it must not fail silently: it can

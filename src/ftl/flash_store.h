@@ -50,9 +50,6 @@ struct FlashStoreOptions {
   uint64_t block_bytes = 512;
   CleanerPolicy cleaner = CleanerPolicy::kCostBenefit;
   WearPolicy wear = WearPolicy::kDynamic;
-  // Cleaning starts when the free-sector count drops to this level and runs
-  // until it exceeds it (or no sector with dead pages remains).
-  uint64_t free_sector_low_water = 2;
   // Fraction of sectors withheld from the logical capacity so cleaning
   // always has room to relocate into. At least 2 sectors are reserved.
   double overprovision = 0.10;
@@ -152,13 +149,12 @@ class FlashStore {
   FlashDevice& device() { return flash_; }
 
   // Reads a logical block. Fails NOT_FOUND if the block was never written
-  // (or was trimmed).
-  Result<Duration> Read(uint64_t block, std::span<uint8_t> out);
-  // As above with an explicit issue mode: the residency manager's promotion
-  // reads run cleaner-class and non-blocking (the bank absorbs the time;
-  // the caller's clock does not advance).
+  // (or was trimmed). The issue mode defaults to a blocking foreground read;
+  // the residency manager's promotion reads run cleaner-class and
+  // non-blocking (the bank absorbs the time; the caller's clock does not
+  // advance).
   Result<Duration> Read(uint64_t block, std::span<uint8_t> out,
-                        IoIssue issue);
+                        IoIssue issue = {});
 
   // Byte-granular read within a block — flash is byte-addressable and
   // direct-mapped, so a partial read costs only the touched bytes (unlike a
@@ -177,15 +173,13 @@ class FlashStore {
 
   // Writes a logical block (out of place). data.size() must equal
   // block_bytes. May trigger cleaning. Honors options_.background_writes.
-  Result<Duration> Write(uint64_t block, std::span<const uint8_t> data);
-
-  // Write with an explicit placement hint: callers that know the data is
-  // read-mostly (program installation, archive storage) pass
-  // WriteStream::kRelocation so it lands in the cold banks directly —
-  // "file systems would be spread across flash memory banks appropriately"
-  // (Section 3.3). Equivalent to Write() when segregation is off.
+  // Callers that know the data is read-mostly (program installation,
+  // archive storage) pass WriteStream::kRelocation so it lands in the cold
+  // banks directly — "file systems would be spread across flash memory
+  // banks appropriately" (Section 3.3); the hint changes nothing when
+  // segregation is off.
   Result<Duration> Write(uint64_t block, std::span<const uint8_t> data,
-                         WriteStream hint);
+                         WriteStream hint = WriteStream::kUser);
 
   // Write with an explicit scheduling class (the storage manager's flush
   // path passes IoPriority::kFlush) and billing tenant. Whether the write
@@ -279,6 +273,9 @@ class FlashStore {
 
  private:
   static constexpr uint64_t kUnmapped = ~uint64_t{0};
+  // Cleaning starts when the free-sector count drops to this level and runs
+  // until it exceeds it (or no sector with dead pages remains).
+  static constexpr uint64_t kFreeSectorLowWater = 2;
 
   uint32_t pages_per_sector() const { return pps_; }
   // Physical page holding `block`, or kUnmapped (also past map_'s end).
@@ -303,19 +300,20 @@ class FlashStore {
   // when free space is low. Returns the physical page index or an error.
   Result<uint64_t> AllocatePage(WriteStream stream, bool allow_clean);
 
-  // Writes `data` into a freshly allocated page and points `block` at it.
-  // The issue selects the request's scheduling class and foreground vs
-  // background device timing.
-  Result<Duration> WriteInternal(uint64_t block, std::span<const uint8_t> data,
-                                 WriteStream stream, bool allow_clean,
-                                 IoIssue issue);
-
-  // Ref-taking core of every write: allocates a page and files the extent
-  // with the device (no payload copy). WriteInternal wraps it by converting
-  // the span into a pooled extent (the data plane's single copy).
+  // The core of every write: allocates a page, files the extent with the
+  // device (no payload copy) and points `block` at it. The issue selects the
+  // request's scheduling class and foreground vs background device timing.
   Result<Duration> WriteInternalRef(uint64_t block, PayloadRef data,
                                     WriteStream stream, bool allow_clean,
                                     IoIssue issue);
+
+  // The checks every read shares — block range, then [offset, offset +
+  // bytes) within the block, then the mapping — and the device address of
+  // the range.
+  Result<uint64_t> ReadAddress(uint64_t block, uint64_t offset,
+                               uint64_t bytes) const;
+  // Counts a successful read for the store and for `tenant`.
+  void BillRead(TenantId tenant, uint64_t bytes);
 
   // How this store issues device requests for the paper's three streams,
   // given options_.background_writes: user/flush writes and cleaner traffic
@@ -369,6 +367,12 @@ class FlashStore {
   // squatting in the write banks that ordinary cleaning will never pick
   // (it has nothing dead to reclaim). Returns true if a sector was evicted.
   Result<bool> EvictColdSectorFromHotRange();
+
+  // Moves every live page of `sector` to the relocation stream, billing each
+  // move to the page's tenant; stops at the first error. The cleaner, cold
+  // eviction and static wear leveling differ only in how they pick the
+  // sector and what they do after.
+  Status RelocateLiveData(uint64_t sector);
 
   // Erases a sector and returns it to the free pool (handles wear-out).
   Status EraseAndFree(uint64_t sector);

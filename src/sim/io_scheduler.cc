@@ -194,7 +194,7 @@ void IoScheduler::Retire(int channel_index, Channel& channel) {
   }
 }
 
-void IoScheduler::Reflow(Channel& channel, Reservation* from) {
+void IoScheduler::Reflow(Reservation* from) {
   for (Reservation* r = from->next; r != nullptr; from = r, r = r->next) {
     const SimTime new_start = from->req.complete_time;
     const Duration delta = new_start - r->req.start_time;
@@ -325,7 +325,7 @@ IoScheduler::Dispatch IoScheduler::Place(int channel_index, IoRequest req,
     channel.tail = node;
   }
   channel.queued += 1;
-  Reflow(channel, node);
+  Reflow(node);
   channel.busy_until =
       std::max(channel.busy_until, channel.tail->req.complete_time);
   return dispatch;

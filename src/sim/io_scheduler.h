@@ -211,7 +211,7 @@ class IoScheduler {
   void Retire(int channel_index, Channel& channel);
   // Recomputes start/complete for the reservations after `from`, notifying
   // shifts.
-  void Reflow(Channel& channel, Reservation* from);
+  void Reflow(Reservation* from);
 
   Dispatch Place(int channel, IoRequest req, Duration service_now,
                  const ServiceFn* service_fn);

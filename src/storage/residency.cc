@@ -11,6 +11,20 @@
 
 namespace ssmc {
 
+namespace {
+// kAggressive: promote when the raw (undecayed) touch count reaches this.
+constexpr uint64_t kAggressiveTouches = 2;
+// kAggressive: flushes of blocks with decayed heat below this go out on the
+// relocation (cold) write stream.
+constexpr double kColdHintThreshold = 0.5;
+// Heat table size bound; crossing it sweeps entries colder than ~0.25.
+constexpr uint64_t kMaxHeatEntries = 65536;
+// Heat needed to enter the NVM tier from flash: 1.0 admits on first touch,
+// so the combined DRAM+NVM ladder approximates one big LRU — what the Ju et
+// al. analytical oracle (tier_model.h) models.
+constexpr double kNvmPromoteThreshold = 1.0;
+}  // namespace
+
 const char* ResidencyPolicyName(ResidencyPolicy policy) {
   switch (policy) {
     case ResidencyPolicy::kWriteBufferOnly:
@@ -53,9 +67,7 @@ ResidencyManager::ResidencyManager(StorageManager& storage,
   if (storage_.total_nvm_pages() > 0) {
     CacheTier nvm_tier;
     nvm_tier.residency = Residency::kNvm;
-    nvm_tier.capacity_pages = static_cast<uint64_t>(
-        options_.max_nvm_fraction *
-        static_cast<double>(storage_.total_nvm_pages()));
+    nvm_tier.capacity_pages = storage_.total_nvm_pages();  // All of it.
     tiers_.push_back(std::move(nvm_tier));
   }
 }
@@ -267,7 +279,7 @@ double ResidencyManager::Touch(const BlockKey& key, SimTime now) {
   h.decayed += 1.0;
   h.raw += 1;
   const double current = h.decayed;
-  if (heat_.size() > options_.max_heat_entries) {
+  if (heat_.size() > kMaxHeatEntries) {
     // Sweep entries that have gone cold. The result is order-independent
     // (every entry below the threshold goes), so unordered_map iteration
     // order cannot affect behavior.
@@ -289,7 +301,7 @@ bool ResidencyManager::ShouldPromote(const Heat& h) const {
     case ResidencyPolicy::kReadPromote:
       return h.decayed >= options_.promote_threshold;
     case ResidencyPolicy::kAggressive:
-      return h.raw >= options_.aggressive_touches ||
+      return h.raw >= kAggressiveTouches ||
              h.decayed >= options_.promote_threshold;
   }
   return false;
@@ -303,10 +315,10 @@ bool ResidencyManager::ShouldAdmitFromFlash(const Heat& h) const {
     case ResidencyPolicy::kWriteBufferOnly:
       return false;
     case ResidencyPolicy::kReadPromote:
-      return h.decayed >= options_.nvm_promote_threshold;
+      return h.decayed >= kNvmPromoteThreshold;
     case ResidencyPolicy::kAggressive:
-      return h.raw >= options_.aggressive_touches ||
-             h.decayed >= options_.nvm_promote_threshold;
+      return h.raw >= kAggressiveTouches ||
+             h.decayed >= kNvmPromoteThreshold;
   }
   return false;
 }
@@ -373,7 +385,7 @@ WriteStream ResidencyManager::FlushStream(const BlockKey& key, SimTime now) {
   if (flush_heat_ != nullptr) {
     flush_heat_->Record(static_cast<uint64_t>(heat * 100.0));
   }
-  if (heat < options_.cold_hint_threshold) {
+  if (heat < kColdHintThreshold) {
     stats_.cold_stream_hints.Add();
     return WriteStream::kRelocation;
   }

@@ -15,6 +15,10 @@ namespace {
 // O(log n) while the live set churns.
 constexpr size_t kHotRanks = 4096;
 
+// Bounded-Pareto shape of file sizes: ~1.1 gives the observed small-file
+// skew.
+constexpr double kFileSizeAlpha = 1.1;
+
 // The hot-set CDF depends only on the skew, yet costs kHotRanks std::pow
 // calls -- as much as generating a short trace. Each distinct skew's sampler
 // is built on first use and then shared read-only by every Generate(), on
@@ -95,7 +99,7 @@ Trace WorkloadGenerator::Generate() {
 
   auto sample_file_size = [&]() -> uint64_t {
     const double size = rng_.NextBoundedPareto(
-        options_.file_size_alpha, static_cast<double>(options_.min_file_bytes),
+        kFileSizeAlpha, static_cast<double>(options_.min_file_bytes),
         static_cast<double>(options_.max_file_bytes));
     return static_cast<uint64_t>(size);
   };

@@ -34,9 +34,8 @@ struct WorkloadOptions {
   int num_directories = 8;
   int initial_files = 64;
 
-  // File sizes: bounded Pareto (alpha ~1.1 gives the observed small-file
-  // skew) between min and max.
-  double file_size_alpha = 1.1;
+  // File sizes: bounded Pareto (alpha 1.1, the observed small-file skew)
+  // between min and max.
   uint64_t min_file_bytes = 256;
   uint64_t max_file_bytes = 256 * 1024;
 

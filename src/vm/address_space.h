@@ -42,11 +42,10 @@ struct HwMigrationOptions {
   bool enabled = false;
   // Run a migration scan after this many counted flash-frame accesses.
   uint64_t epoch_accesses = 256;
-  // Pages with at least this many accesses within the epoch migrate.
+  // Pages with at least this many accesses within the epoch migrate: into
+  // NVM pages when the machine has NVM, otherwise into plain DRAM frames (no
+  // reclaim pressure — hardware cannot ask the OS).
   uint64_t promote_threshold = 4;
-  // Migrate into NVM pages when the machine has NVM; otherwise fall back to
-  // plain DRAM frames (no reclaim pressure — hardware cannot ask the OS).
-  bool use_nvm = true;
 };
 
 // Registers with the residency manager as a reclaim source: under DRAM

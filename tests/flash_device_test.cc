@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
+#include <string>
 #include <vector>
 
 namespace ssmc {
@@ -315,6 +317,215 @@ TEST_F(FlashDeviceTest, EmptyReadAndProgramAreFree) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 0);
   EXPECT_EQ(clock_.now(), 0);
+}
+
+// --- Span/extent parity ----------------------------------------------------
+// Read/ReadExtent and Program/ProgramExtent differ only in the host-side
+// payload representation. Each case runs the same setup and operations on two
+// fresh devices, one through each variant, and requires the same observable
+// outcome: status code and message per op, clock, bank timelines, stats,
+// energy, the bytes read, the injected-fault and torn-program hooks' remaining
+// charge, and the card contents.
+
+constexpr uint64_t kParityCapacity = 16 * 1024;  // 16 sectors of 1 KiB.
+
+struct ParityOp {
+  uint64_t addr;
+  uint64_t bytes;
+  ErrorCode expect = ErrorCode::kOk;  // Pins that the case hits its path.
+};
+
+struct ParityCase {
+  const char* name;
+  int banks;
+  std::function<void(FlashDevice&)> setup;
+  std::vector<ParityOp> ops;
+  IoIssue issue = {};
+};
+
+struct ParityOutcome {
+  std::vector<ErrorCode> codes;
+  std::vector<std::string> messages;
+  std::vector<std::vector<uint8_t>> read_bytes;
+  SimTime now = 0;
+  std::vector<SimTime> bank_busy_until;
+  std::vector<uint64_t> counters;
+  double active_nj = 0;
+  int faulting_reads_left = 0;
+  ErrorCode probe_program = ErrorCode::kOk;
+  std::vector<uint8_t> card;
+};
+
+std::vector<uint8_t> Pattern(uint64_t addr, uint64_t bytes) {
+  std::vector<uint8_t> data(bytes);
+  for (uint64_t i = 0; i < bytes; ++i) {
+    data[i] = static_cast<uint8_t>((addr + i) * 7 + 1);
+  }
+  return data;
+}
+
+// Wears `sector` out (same seed on both sides, so the same erase count).
+void WearOut(FlashDevice& flash, uint64_t sector) {
+  for (int i = 0; i < 100 && !flash.IsSectorBad(sector); ++i) {
+    (void)flash.EraseSector(sector);
+  }
+}
+
+ParityOutcome RunParityCase(const ParityCase& c, bool program, bool extent) {
+  FlashSpec spec = TestSpec();
+  spec.endurance_cycles = 3;
+  SimClock clock;
+  FlashDevice flash(spec, kParityCapacity, c.banks, clock, /*seed=*/7);
+  if (c.setup) {
+    c.setup(flash);
+  }
+  ParityOutcome o;
+  for (const ParityOp& op : c.ops) {
+    Status status = Status::Ok();
+    std::vector<uint8_t> got;
+    if (program) {
+      const std::vector<uint8_t> data = Pattern(op.addr, op.bytes);
+      if (!extent) {
+        status = flash.Program(op.addr, data, c.issue).status();
+      } else {
+        ExtentPool pool(std::max<uint64_t>(op.bytes, 1));
+        PayloadRef payload =
+            op.bytes > 0 ? pool.AllocateCopy(data.data()) : PayloadRef{};
+        status = flash.ProgramExtent(op.addr, std::move(payload), c.issue)
+                     .status();
+      }
+    } else if (!extent) {
+      got.resize(op.bytes);
+      status = flash.Read(op.addr, got, c.issue).status();
+      if (!status.ok()) {
+        got.clear();
+      }
+    } else {
+      ExtentPool pool(op.bytes);
+      Result<PayloadRef> r = flash.ReadExtent(op.addr, op.bytes, pool, c.issue);
+      status = r.status();
+      if (r.ok()) {
+        got.assign(r.value().data(), r.value().data() + r.value().size());
+      }
+    }
+    o.codes.push_back(status.code());
+    o.messages.push_back(status.message());
+    o.read_bytes.push_back(std::move(got));
+  }
+  o.now = clock.now();
+  for (int b = 0; b < flash.num_banks(); ++b) {
+    o.bank_busy_until.push_back(flash.BankBusyUntil(b));
+  }
+  const FlashDevice::Stats& s = flash.stats();
+  o.counters = {s.reads.value(),        s.read_bytes.value(),
+                s.programs.value(),     s.programmed_bytes.value(),
+                s.erases.value(),       s.read_stall_ns.value(),
+                s.bad_sectors.value(),  s.torn_programs.value(),
+                s.interrupted_erases.value()};
+  o.active_nj = flash.energy().active_nanojoules();
+  // Remaining injected read faults (all cases inject into sector 1).
+  std::vector<uint8_t> probe(1);
+  while (o.faulting_reads_left < 8 &&
+         flash.Read(1024, probe).status().code() == ErrorCode::kInternal) {
+    ++o.faulting_reads_left;
+  }
+  // Whether the torn-program hook is still armed.
+  const std::vector<uint8_t> last(4, 0x11);
+  o.probe_program = flash.Program(kParityCapacity - 64, last).status().code();
+  // Card contents of every readable sector.
+  std::vector<uint8_t> sector(flash.sector_bytes());
+  for (uint64_t sec = 0; sec < flash.num_sectors(); ++sec) {
+    if (!flash.IsSectorBad(sec) &&
+        flash.Read(sec * flash.sector_bytes(), sector).ok()) {
+      o.card.insert(o.card.end(), sector.begin(), sector.end());
+    }
+  }
+  return o;
+}
+
+void ExpectParity(const ParityCase& c, bool program) {
+  SCOPED_TRACE(c.name);
+  const ParityOutcome span = RunParityCase(c, program, /*extent=*/false);
+  const ParityOutcome ext = RunParityCase(c, program, /*extent=*/true);
+  for (size_t i = 0; i < c.ops.size(); ++i) {
+    EXPECT_EQ(span.codes[i], c.ops[i].expect) << "op " << i;
+  }
+  EXPECT_EQ(span.codes, ext.codes);
+  EXPECT_EQ(span.messages, ext.messages);
+  EXPECT_EQ(span.read_bytes, ext.read_bytes);
+  EXPECT_EQ(span.now, ext.now);
+  EXPECT_EQ(span.bank_busy_until, ext.bank_busy_until);
+  EXPECT_EQ(span.counters, ext.counters);
+  EXPECT_EQ(span.active_nj, ext.active_nj);
+  EXPECT_EQ(span.faulting_reads_left, ext.faulting_reads_left);
+  EXPECT_EQ(span.probe_program, ext.probe_program);
+  EXPECT_EQ(span.card, ext.card);
+}
+
+// Programs both representations so reads see flat bytes, a whole extent,
+// and a range that mixes the two.
+void MixedSetup(FlashDevice& flash) {
+  const std::vector<uint8_t> flat = Pattern(0, 64);
+  ASSERT_TRUE(flash.Program(0, flat).ok());
+  ExtentPool pool(32);
+  const std::vector<uint8_t> ext = Pattern(64, 32);
+  ASSERT_TRUE(flash.ProgramExtent(64, pool.AllocateCopy(ext.data())).ok());
+}
+
+constexpr ErrorCode kOutOfRange = ErrorCode::kOutOfRange;
+constexpr ErrorCode kInvalidArgument = ErrorCode::kInvalidArgument;
+constexpr ErrorCode kDataLoss = ErrorCode::kDataLoss;
+constexpr ErrorCode kInternal = ErrorCode::kInternal;
+constexpr ErrorCode kFailedPrecondition = ErrorCode::kFailedPrecondition;
+
+TEST(FlashDeviceParityTest, ReadMatchesReadExtent) {
+  const std::vector<ParityCase> cases = {
+      {"mixed representations", 1, MixedSetup, {{0, 128}, {64, 32}, {8, 16}}},
+      {"past end", 1, nullptr, {{kParityCapacity - 8, 16, kOutOfRange}}},
+      {"bank-crossing", 4, nullptr, {{4 * 1024 - 8, 16, kInvalidArgument}}},
+      {"sector-spanning", 1, MixedSetup, {{1024 - 8, 16}}},
+      {"worn-out sector", 1, [](FlashDevice& f) { WearOut(f, 2); },
+       {{2 * 1024 + 8, 16, kDataLoss}, {2 * 1024 - 8, 16, kDataLoss}}},
+      {"injected read fault", 1,
+       [](FlashDevice& f) { f.InjectReadFaults(1, 3); },
+       {{1024 + 8, 16, kInternal}, {1024 - 8, 16, kInternal}, {0, 16}}},
+      {"blocking read behind an erase", 4,
+       [](FlashDevice& f) { ASSERT_TRUE(f.EraseSector(0, kCleanerIo).ok()); },
+       {{0, 16}, {4 * 1024, 16}}},
+      {"background read behind an erase", 4,
+       [](FlashDevice& f) { ASSERT_TRUE(f.EraseSector(0, kCleanerIo).ok()); },
+       {{0, 16}},
+       kCleanerIo},
+  };
+  for (const ParityCase& c : cases) {
+    ExpectParity(c, /*program=*/false);
+  }
+}
+
+TEST(FlashDeviceParityTest, ProgramMatchesProgramExtent) {
+  const std::vector<ParityCase> cases = {
+      {"append", 1, nullptr, {{0, 64}, {64, 32}, {2048, 16}}},
+      {"past end", 1, nullptr, {{kParityCapacity - 8, 16, kOutOfRange}}},
+      {"zero bytes", 1, nullptr,
+       {{0, 0}, {kParityCapacity + 8, 0, kOutOfRange}}},
+      {"sector-crossing", 1, nullptr, {{1024 - 8, 16, kInvalidArgument}}},
+      {"worn-out sector", 1, [](FlashDevice& f) { WearOut(f, 2); },
+       {{2 * 1024 + 8, 16, kDataLoss}}},
+      {"non-erased target", 1, MixedSetup,
+       {{8, 16, kFailedPrecondition}, {60, 16, kFailedPrecondition},
+        {200, 8}}},
+      {"torn program with a skip count", 1,
+       [](FlashDevice& f) { f.FailNextProgramAfterBytes(5, 1); },
+       {{0, 16}, {64, 16, kInternal}, {64 + 5, 4}, {128, 16}}},
+      {"torn program landing nothing", 1,
+       [](FlashDevice& f) { f.FailNextProgramAfterBytes(0); },
+       {{256, 16, kInternal}, {256, 16}}},
+      {"background program", 4, nullptr, {{0, 64}, {4 * 1024, 64}},
+       kFlushIo},
+  };
+  for (const ParityCase& c : cases) {
+    ExpectParity(c, /*program=*/true);
+  }
 }
 
 }  // namespace

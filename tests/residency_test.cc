@@ -374,7 +374,8 @@ TEST_F(ResidencyAggressiveTest, PromotesOnSecondRawTouchDespiteDecay) {
   SeedFlashBlock(9, 0x5C);
   res().OnFlashRead(key, 9, clock_.now());
   // Five half-lives: decayed heat is ~0.03, far below the 2.0 threshold —
-  // but the raw touch count reaches aggressive_touches, so promote anyway.
+  // but the raw touch count reaches kAggressive's two touches, so promote
+  // anyway.
   clock_.Advance(150 * kSecond);
   res().OnFlashRead(key, 9, clock_.now());
   EXPECT_TRUE(res().CleanCached(key));
