@@ -477,6 +477,36 @@ void BM_GenerateFleetUser(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateFleetUser)->Unit(benchmark::kMicrosecond);
 
+void BM_FleetUserLifecycle(benchmark::State& state) {
+  // Host cost of one fleet user's machine, end to end: build a
+  // NotebookConfig machine, replay the user's 2-simulated-second trace, tear
+  // the machine down. The trace is generated once, outside the loop, as
+  // RunScaleout derives user 0's (office profile, default tenant mix), so
+  // the figure is build + replay + teardown without generation. Recorded in
+  // BENCH_micro.json; not gated.
+  ScaleoutOptions fleet;
+  fleet.user_duration = 2 * kSecond;
+  WorkloadOptions workload = OfficeWorkload();
+  workload.seed = DeriveCellSeed(fleet.base_seed, 0);
+  workload.duration = fleet.user_duration;
+  workload.max_file_bytes = fleet.max_file_bytes;
+  const Trace trace = WorkloadGenerator(workload).Generate();
+  MachineConfig config = NotebookConfig();
+  config.name = "scaleout-user-0";
+  config.seed = DeriveCellSeed(fleet.base_seed, 1);
+  uint64_t ops = 0;
+  for (auto _ : state) {
+    MobileComputer machine(config);
+    const ReplayReport report = machine.RunTrace(trace);
+    benchmark::DoNotOptimize(&report);
+    ops += report.ops;
+  }
+  state.counters["sim_ops_per_iter"] =
+      static_cast<double>(ops) /
+      static_cast<double>(std::max<int64_t>(1, state.iterations()));
+}
+BENCHMARK(BM_FleetUserLifecycle)->Unit(benchmark::kMicrosecond);
+
 void BM_SingleLevelStoreLoad(benchmark::State& state) {
   MobileComputer machine(NotebookConfig());
   (void)machine.fs().Create("/f");
@@ -524,12 +554,18 @@ void BM_AddressSpaceDramRead(benchmark::State& state) {
 }
 BENCHMARK(BM_AddressSpaceDramRead);
 
-// Console reporter that also collects every run as a MetricsSnapshot row
-// and dumps them through the shared metrics-snapshot emitter (same code
-// path as BENCH_scaleout.json and the benches' --metrics flag): op name,
-// ns/op (normalized to nanoseconds), counters; keys in sorted order.
-class JsonDumpingReporter : public benchmark::ConsoleReporter {
+// Reporter that prints through the library's default display reporter (so
+// --benchmark_format and --benchmark_color apply as usual), and also
+// collects every run as a MetricsSnapshot row and dumps them through the
+// shared metrics-snapshot emitter (same code path as BENCH_scaleout.json
+// and the benches' --metrics flag): op name, ns/op (normalized to
+// nanoseconds), counters; keys in sorted order.
+class JsonDumpingReporter : public benchmark::BenchmarkReporter {
  public:
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred) {
@@ -554,14 +590,19 @@ class JsonDumpingReporter : public benchmark::ConsoleReporter {
       }
       rows_.push_back(std::move(row));
     }
-    ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
   }
+
+  void Finalize() override { display_->Finalize(); }
 
   bool WriteJson(const std::string& path) const {
     return WriteMetricsJsonArrayFile(path, rows_);
   }
 
  private:
+  // Built from the command-line flags; owned by the library.
+  benchmark::BenchmarkReporter* display_ =
+      benchmark::CreateDefaultDisplayReporter();
   std::vector<MetricsSnapshot> rows_;
 };
 

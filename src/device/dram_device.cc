@@ -7,11 +7,12 @@
 namespace ssmc {
 
 DramDevice::DramDevice(DramSpec spec, uint64_t capacity_bytes, SimClock& clock)
-    : spec_(std::move(spec)), capacity_(capacity_bytes), clock_(clock) {
-  chunks_.resize((capacity_ + kChunkBytes - 1) / kChunkBytes);
-}
+    : spec_(std::move(spec)), capacity_(capacity_bytes), clock_(clock) {}
 
 uint8_t* DramDevice::MaterializeChunk(uint64_t chunk) {
+  if (chunk >= chunks_.size()) {
+    chunks_.resize(chunk + 1);
+  }
   std::unique_ptr<uint8_t[]>& slot = chunks_[chunk];
   if (!slot) {
     slot.reset(new uint8_t[kChunkBytes]());
@@ -32,7 +33,9 @@ Result<Duration> DramDevice::Read(uint64_t addr, std::span<uint8_t> out) {
   while (remaining > 0) {
     const uint64_t off = pos % kChunkBytes;
     const uint64_t n = std::min(remaining, kChunkBytes - off);
-    if (const uint8_t* src = chunks_[pos / kChunkBytes].get()) {
+    const uint64_t chunk = pos / kChunkBytes;
+    if (const uint8_t* src =
+            chunk < chunks_.size() ? chunks_[chunk].get() : nullptr) {
       std::memcpy(dst, src + off, n);
     } else {
       std::memset(dst, 0, n);
@@ -94,9 +97,7 @@ void DramDevice::OnPowerLoss() {
 
 void DramDevice::ForceContentLoss() {
   // Dropping chunks zeroes the array: unmaterialized regions already read 0.
-  for (std::unique_ptr<uint8_t[]>& chunk : chunks_) {
-    chunk.reset();
-  }
+  chunks_.clear();
   contents_lost_ = true;
   stats_.content_losses.Add();
 }

@@ -72,8 +72,10 @@ class DramDevice {
 
  private:
   // Backing storage is materialized in fixed chunks on first write; a null
-  // chunk reads as zeros. Keeps construction (and content loss) O(touched)
-  // instead of O(capacity) — a 16 MiB array costs nothing until used.
+  // chunk, or one past the table's end, reads as zeros. The table grows to
+  // the highest chunk written, so construction (and content loss) is
+  // O(touched) instead of O(capacity) — a 16 MiB array costs nothing until
+  // used.
   static constexpr uint64_t kChunkBytes = 64 * 1024;
 
   uint8_t* MaterializeChunk(uint64_t chunk);

@@ -41,8 +41,6 @@ FlashDevice::FlashDevice(FlashSpec spec, uint64_t capacity_bytes, int banks,
   assert(capacity_ % spec_.erase_sector_bytes == 0);
   assert((capacity_ / spec_.erase_sector_bytes) % banks == 0 &&
          "sectors must divide evenly into banks");
-  sector_data_.resize(capacity_ / spec_.erase_sector_bytes);
-  sector_extents_.resize(capacity_ / spec_.erase_sector_bytes);
   sectors_per_bank_ = (capacity_ / spec_.erase_sector_bytes) /
                       static_cast<uint64_t>(banks);
   if (std::has_single_bit(spec_.erase_sector_bytes)) {
@@ -52,7 +50,6 @@ FlashDevice::FlashDevice(FlashSpec spec, uint64_t capacity_bytes, int banks,
     bank_shift_ = std::countr_zero(sectors_per_bank_);
   }
   erased_template_.assign(spec_.erase_sector_bytes, kErasedByte);
-  sectors_.resize(capacity_ / spec_.erase_sector_bytes);
 }
 
 void FlashDevice::AttachObs(Obs* obs) {
@@ -81,7 +78,11 @@ int FlashDevice::BankOfAddress(uint64_t addr) const {
 template <typename Fn>
 void FlashDevice::ForEachExtentIn(uint64_t sector, uint64_t off, uint64_t n,
                                   Fn fn) const {
-  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
+  const Sector* meta = sectors_.Find(sector);
+  if (meta == nullptr) {
+    return;
+  }
+  const std::vector<ExtentEntry>& extents = meta->extents;
   auto it = std::upper_bound(
       extents.begin(), extents.end(), off,
       [](uint64_t o, const ExtentEntry& e) { return o < e.offset; });
@@ -107,7 +108,11 @@ void FlashDevice::PrefetchPayload(uint64_t addr, uint64_t bytes) const {
     return;  // Callers' transfers never span sectors; don't bother.
   }
   const uint64_t off = OffsetInSector(addr);
-  if (const uint8_t* base = sector_data_[sector].get()) {
+  const Sector* meta = sectors_.Find(sector);
+  if (meta == nullptr) {
+    return;  // Never programmed: reads as 0xFF without touching memory.
+  }
+  if (const uint8_t* base = meta->data.get()) {
     PrefetchBytes(base + off, bytes);
   }
   // Unmaterialized flat storage reads as 0xFF without touching memory; any
@@ -119,9 +124,10 @@ void FlashDevice::PrefetchPayload(uint64_t addr, uint64_t bytes) const {
 }
 
 void FlashDevice::PrefetchExtentIndex(uint64_t sector) const {
-  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
-  for (const ExtentEntry& e : extents) {
-    e.ref.Prefetch();
+  if (const Sector* meta = sectors_.Find(sector)) {
+    for (const ExtentEntry& e : meta->extents) {
+      e.ref.Prefetch();
+    }
   }
 }
 
@@ -147,7 +153,7 @@ Result<Duration> FlashDevice::ReadOp(uint64_t addr, uint64_t bytes,
   }
   for (uint64_t s = SectorOfAddr(addr); s <= SectorOfAddr(addr + bytes - 1);
        ++s) {
-    if (sectors_[s].bad) {
+    if (IsSectorBad(s)) {
       return DataLossError("read from worn-out flash sector " +
                            std::to_string(s));
     }
@@ -229,7 +235,8 @@ void FlashDevice::CopyOut(uint64_t sector, uint64_t off, uint64_t n,
   }
   // General path: flat (or erased) background, then overlay every
   // intersecting extent.
-  if (const uint8_t* src = sector_data_[sector].get()) {
+  const Sector* meta = sectors_.Find(sector);
+  if (const uint8_t* src = meta != nullptr ? meta->data.get() : nullptr) {
     std::memcpy(dst, src + off, n);
   } else {
     std::memset(dst, kErasedByte, n);
@@ -242,9 +249,13 @@ void FlashDevice::CopyOut(uint64_t sector, uint64_t off, uint64_t n,
 
 const PayloadRef* FlashDevice::ExactExtent(uint64_t sector, uint64_t off,
                                            uint64_t n) const {
-  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
-  auto it = ExtentAtOrAfter(extents, off);
-  return it != extents.end() && it->offset == off && it->ref.size() == n
+  const Sector* meta = sectors_.Find(sector);
+  if (meta == nullptr) {
+    return nullptr;
+  }
+  auto it = ExtentAtOrAfter(meta->extents, off);
+  return it != meta->extents.end() && it->offset == off &&
+                 it->ref.size() == n
              ? &it->ref
              : nullptr;
 }
@@ -262,7 +273,7 @@ Result<Duration> FlashDevice::ProgramOp(uint64_t addr, const uint8_t* src,
   if (SectorOfAddr(addr + bytes - 1) != sector) {
     return InvalidArgumentError("flash program crosses a sector boundary");
   }
-  Sector& meta = sectors_[sector];
+  Sector& meta = sectors_.Touch(sector);
   if (meta.bad) {
     return DataLossError("program to worn-out flash sector " +
                          std::to_string(sector));
@@ -308,14 +319,14 @@ Result<Duration> FlashDevice::ProgramOp(uint64_t addr, const uint8_t* src,
     if (extent != nullptr && !torn) {
       // File the ref instead of copying the bytes: the device is now one
       // more holder of the extent.
-      std::vector<ExtentEntry>& extents = sector_extents_[sector];
+      std::vector<ExtentEntry>& extents = meta.extents;
       extents.insert(ExtentAtOrAfter(extents, off),
                      ExtentEntry{static_cast<uint32_t>(off),
                                  std::move(*extent)});
     } else {
       // Span programs, and torn prefixes of either variant (a torn extent is
       // no longer the extent the writer handed over), land flat.
-      std::memcpy(Materialize(sector_data_[sector]) + off, src, landed);
+      std::memcpy(Materialize(meta.data) + off, src, landed);
     }
     if (validate_payloads_) {
       std::memcpy(Materialize(shadow_data_[sector]) + off, src, landed);
@@ -352,7 +363,8 @@ bool FlashDevice::RangeErased(uint64_t sector, uint64_t off, uint64_t n,
   uint64_t first = ~uint64_t{0};
   // Flat representation: one vectorized memcmp, per-byte scan only to name
   // the offending address (identical to the pre-extent check).
-  if (const uint8_t* cur = sector_data_[sector].get();
+  const Sector& meta = sectors_[sector];  // Programmed below `off`.
+  if (const uint8_t* cur = meta.data.get();
       cur != nullptr &&
       std::memcmp(cur + off, erased_template_.data(), n) != 0) {
     uint64_t i = 0;
@@ -389,7 +401,7 @@ Result<Duration> FlashDevice::EraseSector(uint64_t sector, IoIssue issue) {
   if (sector >= num_sectors()) {
     return OutOfRangeError("erase of nonexistent flash sector");
   }
-  Sector& s = sectors_[sector];
+  Sector& s = sectors_.Touch(sector);
   if (s.bad) {
     return DataLossError("erase of worn-out flash sector " +
                          std::to_string(sector));
@@ -446,8 +458,8 @@ Result<Duration> FlashDevice::EraseSector(uint64_t sector, IoIssue issue) {
   // byte traffic — other layers still aliasing an extent keep its bytes
   // alive). An already-materialized flat buffer is kept and refilled (no
   // allocator churn); a never-programmed sector stays null.
-  sector_extents_[sector].clear();
-  if (uint8_t* data_ptr = sector_data_[sector].get()) {
+  s.extents.clear();
+  if (uint8_t* data_ptr = s.data.get()) {
     std::memset(data_ptr, kErasedByte, sector_bytes());
   }
   if (validate_payloads_) {
@@ -460,13 +472,17 @@ Result<Duration> FlashDevice::EraseSector(uint64_t sector, IoIssue issue) {
 }
 
 bool FlashDevice::IsSectorErased(uint64_t sector) const {
-  for (const ExtentEntry& e : sector_extents_[sector]) {
+  const Sector* meta = sectors_.Find(sector);
+  if (meta == nullptr) {
+    return true;
+  }
+  for (const ExtentEntry& e : meta->extents) {
     if (std::memcmp(e.ref.data(), erased_template_.data(), e.ref.size()) !=
         0) {
       return false;
     }
   }
-  const uint8_t* data_ptr = sector_data_[sector].get();
+  const uint8_t* data_ptr = meta->data.get();
   return data_ptr == nullptr ||
          std::memcmp(data_ptr, erased_template_.data(), sector_bytes()) == 0;
 }
@@ -492,7 +508,8 @@ void FlashDevice::set_validate_payloads(bool on) {
   // switched on mid-life (tests attach it after setup writes).
   shadow_data_.resize(num_sectors());
   for (uint64_t s = 0; s < num_sectors(); ++s) {
-    if (sector_data_[s] != nullptr || !sector_extents_[s].empty()) {
+    const Sector* meta = sectors_.Find(s);
+    if (meta != nullptr && (meta->data != nullptr || !meta->extents.empty())) {
       CopyOut(s, 0, sector_bytes(), Materialize(shadow_data_[s]));
     }
   }
@@ -528,26 +545,28 @@ void FlashDevice::CheckAgainstShadow(uint64_t addr, const uint8_t* got,
 
 FlashDevice::WearSummary FlashDevice::SummarizeWear() const {
   WearSummary w;
-  if (sectors_.empty()) {
+  const uint64_t n = num_sectors();
+  if (n == 0) {
     return w;
   }
-  w.min_erases = sectors_[0].erase_count;
+  w.min_erases = EraseCount(0);
   double sum = 0;
-  for (const Sector& s : sectors_) {
-    w.min_erases = std::min(w.min_erases, s.erase_count);
-    w.max_erases = std::max(w.max_erases, s.erase_count);
-    sum += static_cast<double>(s.erase_count);
-    if (s.bad) {
+  for (uint64_t s = 0; s < n; ++s) {
+    const uint64_t e = EraseCount(s);
+    w.min_erases = std::min(w.min_erases, e);
+    w.max_erases = std::max(w.max_erases, e);
+    sum += static_cast<double>(e);
+    if (IsSectorBad(s)) {
       ++w.bad_sectors;
     }
   }
-  w.mean_erases = sum / static_cast<double>(sectors_.size());
+  w.mean_erases = sum / static_cast<double>(n);
   double var = 0;
-  for (const Sector& s : sectors_) {
-    const double d = static_cast<double>(s.erase_count) - w.mean_erases;
+  for (uint64_t s = 0; s < n; ++s) {
+    const double d = static_cast<double>(EraseCount(s)) - w.mean_erases;
     var += d * d;
   }
-  w.stddev_erases = std::sqrt(var / static_cast<double>(sectors_.size()));
+  w.stddev_erases = std::sqrt(var / static_cast<double>(n));
   return w;
 }
 

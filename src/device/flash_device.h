@@ -49,6 +49,7 @@
 #include "src/sim/io_stats.h"
 #include "src/sim/stats.h"
 #include "src/support/extent.h"
+#include "src/support/paged_column.h"
 #include "src/support/rng.h"
 #include "src/support/status.h"
 #include "src/support/units.h"
@@ -131,10 +132,17 @@ class FlashDevice {
 
   // True if the sector is entirely 0xFF (cheap check used by allocators).
   bool IsSectorErased(uint64_t sector) const;
-  bool IsSectorBad(uint64_t sector) const { return sectors_[sector].bad; }
-  uint64_t EraseCount(uint64_t sector) const {
-    return sectors_[sector].erase_count;
+  bool IsSectorBad(uint64_t sector) const {
+    const Sector* s = sectors_.Find(sector);
+    return s != nullptr && s->bad;
   }
+  uint64_t EraseCount(uint64_t sector) const {
+    const Sector* s = sectors_.Find(sector);
+    return s != nullptr ? s->erase_count : 0;
+  }
+  // True once any sector has been erased (or an erase was attempted on it):
+  // until then every erase count is 0 and no sector is bad.
+  bool HasEraseHistory() const { return stats_.erases.value() > 0; }
 
   // Simulated time at which the given bank becomes free (completion of its
   // last reservation; monotone, like the busy-until timestamp it replaces).
@@ -260,16 +268,6 @@ class FlashDevice {
   }
 
  private:
-  struct Sector {
-    uint64_t erase_count = 0;
-    // End offset (exclusive) of the highest byte programmed since the last
-    // erase. Bytes at or beyond it are guaranteed still erased, so
-    // append-order programs (the FTL's only pattern) skip the erased-check
-    // memcmp; programs below it fall back to the full check.
-    uint32_t programmed_end = 0;
-    bool bad = false;
-  };
-
   // Sector geometry is almost always a power of two; cache the shift so the
   // per-operation address decomposition is a shift/mask instead of 64-bit
   // division. -1 falls back to division for odd geometries.
@@ -319,6 +317,28 @@ class FlashDevice {
     PayloadRef ref;
   };
 
+  // Everything the device keeps per erase sector. A sector that was never
+  // programmed or erased has no entry (sectors_ below) and reads as this
+  // struct's defaults: all 0xFF, zero erases, good.
+  struct Sector {
+    uint64_t erase_count = 0;
+    // End offset (exclusive) of the highest byte programmed since the last
+    // erase. Bytes at or beyond it are guaranteed still erased, so
+    // append-order programs (the FTL's only pattern) skip the erased-check
+    // memcmp; programs below it fall back to the full check.
+    uint32_t programmed_end = 0;
+    bool bad = false;
+    // Flat payload, materialized on the first span program. Null reads as
+    // all-0xFF.
+    std::unique_ptr<uint8_t[]> data;
+    // Extent payloads (ProgramExtent). A sector may mix both representations
+    // — flat bytes from raw Program spans, extents from the FTL — with
+    // CopyOut/RangeErased merging the two views; pure-FTL sectors never
+    // materialize a flat buffer at all, so erases drop refs instead of
+    // memsetting.
+    std::vector<ExtentEntry> extents;
+  };
+
   // Calls fn(lo, p, len) for each extent of `sector` intersecting
   // [off, off + n), where `p` holds that extent's share [lo, lo + len) of
   // the sector.
@@ -354,24 +374,16 @@ class FlashDevice {
   uint64_t capacity_;
   SimClock& clock_;
   Rng rng_;
-  // Per-sector payloads, materialized on first program. A null entry means
-  // the sector has never been programmed and reads as all-0xFF. Most of a
-  // card stays in that state for most workloads, so construction costs no
-  // capacity-sized fill (and no page faults re-touching tens of MiB).
   int sector_shift_ = -1;
   int bank_shift_ = -1;
   uint64_t sectors_per_bank_ = 0;
-  std::vector<std::unique_ptr<uint8_t[]>> sector_data_;
-  // Per-sector extent payloads (ProgramExtent). A sector may mix both
-  // representations — flat bytes from raw Program spans, extents from the
-  // FTL — with CopyOut/RangeErased merging the two views; pure-FTL sectors
-  // never materialize a flat buffer at all, so erases drop refs instead of
-  // memsetting.
-  std::vector<std::vector<ExtentEntry>> sector_extents_;
+  // Per-sector state, created when a sector is first programmed or erased.
+  // Most of a card stays untouched for most workloads, so construction and
+  // teardown cost nothing per sector.
+  PagedColumn<Sector> sectors_;
   // One sector's worth of 0xFF, compared wholesale (memcmp) by the erased
   // checks in Program() and IsSectorErased().
   std::vector<uint8_t> erased_template_;
-  std::vector<Sector> sectors_;
   // validate_payloads state (see set_validate_payloads).
   bool validate_payloads_ = false;
   uint64_t payload_validation_failures_ = 0;

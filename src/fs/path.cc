@@ -82,10 +82,15 @@ std::string_view BaseNameView(std::string_view path) {
 }
 
 std::string JoinPath(std::string_view dir, std::string_view name) {
+  std::string out;
   if (dir == "/") {
-    return "/" + std::string(name);
+    dir = {};  // The root's separator is the only one.
   }
-  return std::string(dir) + "/" + std::string(name);
+  out.reserve(dir.size() + 1 + name.size());
+  out.append(dir);
+  out.push_back('/');
+  out.append(name);
+  return out;
 }
 
 }  // namespace ssmc

@@ -111,9 +111,7 @@ FlashStore::FlashStore(FlashDevice& flash, FlashStoreOptions options)
       extent_pool_(options.block_bytes),
       victim_index_(options.cleaner,
                     static_cast<uint32_t>(flash.sector_bytes() /
-                                          options.block_bytes),
-                    flash.num_sectors()),
-      cold_index_(flash.num_sectors()) {
+                                          options.block_bytes)) {
   assert(options_.block_bytes > 0);
   assert(flash_.sector_bytes() % options_.block_bytes == 0 &&
          "block size must divide the erase sector size");
@@ -138,19 +136,24 @@ FlashStore::FlashStore(FlashDevice& flash, FlashStoreOptions options)
   assert(reserve < num_sectors && "device too small for its reserve");
   num_logical_blocks_ = (num_sectors - reserve) * pps;
 
-  page_owner_ = std::make_unique_for_overwrite<uint64_t[]>(num_sectors * pps);
-  page_tenant_ = std::make_unique_for_overwrite<TenantId[]>(num_sectors * pps);
   assert(pps <= UINT16_MAX && "SectorHot packs page counts into 16 bits");
-  hot_.resize(num_sectors);
-  for (SectorHot& h : hot_) {
-    h.flags = kFreeFlag;
+  // Every sector starts free. On a never-erased device each bank's pool is
+  // its contiguous sector range at erase count 0, held as a fresh range in
+  // O(1); otherwise the erase counts order the pools, so every sector is
+  // added individually, in ascending order.
+  const bool wear_ordered = options_.wear != WearPolicy::kNone;
+  const bool fresh = !flash_.HasEraseHistory();
+  const uint64_t spb = flash_.sectors_per_bank();
+  free_pool_.reserve(static_cast<size_t>(flash_.num_banks()));
+  for (int b = 0; b < flash_.num_banks(); ++b) {
+    const uint64_t lo = static_cast<uint64_t>(b) * spb;
+    free_pool_.emplace_back(wear_ordered, fresh ? lo : 0, fresh ? lo + spb : 0);
   }
-  next_free_page_.assign(num_sectors, 0);
-  free_pool_.assign(static_cast<size_t>(flash_.num_banks()),
-                    FreeSectorPool(options_.wear != WearPolicy::kNone));
-  for (uint64_t s = 0; s < num_sectors; ++s) {
-    free_pool_[static_cast<size_t>(flash_.BankOfSector(s))].Add(
-        s, flash_.EraseCount(s));
+  if (!fresh) {
+    for (uint64_t s = 0; s < num_sectors; ++s) {
+      free_pool_[static_cast<size_t>(flash_.BankOfSector(s))].Add(
+          s, flash_.EraseCount(s));
+    }
   }
   free_sector_count_ = num_sectors;
   active_.assign(static_cast<size_t>(flash_.num_banks()), -1);
@@ -163,8 +166,10 @@ FlashStore::FlashStore(FlashDevice& flash, FlashStoreOptions options)
 
   if (options_.wear == WearPolicy::kStatic) {
     wear_index_ = std::make_unique<WearIndex>(num_sectors);
-    for (uint64_t s = 0; s < num_sectors; ++s) {
-      wear_index_->Seed(s, flash_.EraseCount(s));
+    if (!fresh) {
+      for (uint64_t s = 0; s < num_sectors; ++s) {
+        wear_index_->Seed(s, flash_.EraseCount(s));
+      }
     }
     // Erase counts change inside the device; observe them so the wear
     // trackers never need a rescan.
@@ -183,8 +188,8 @@ FlashStore::~FlashStore() {
 }
 
 std::vector<SectorMeta> FlashStore::SnapshotSectors() const {
-  std::vector<SectorMeta> out(hot_.size());
-  for (uint64_t s = 0; s < hot_.size(); ++s) {
+  std::vector<SectorMeta> out(flash_.num_sectors());
+  for (uint64_t s = 0; s < out.size(); ++s) {
     out[s] = sector_meta(s);
   }
   return out;
@@ -224,11 +229,14 @@ int64_t FlashStore::TakeFreeSector(int bank) {
   if (sector < 0) {
     return -1;
   }
-  hot_[static_cast<size_t>(sector)].flags &= ~kFreeFlag;
+  hot_.Touch(static_cast<uint64_t>(sector)).flags &= ~kFreeFlag;
+  next_free_page_.Touch(static_cast<uint64_t>(sector));
   free_sector_count_ -= 1;
   const uint64_t first_page = static_cast<uint64_t>(sector) * pps_;
-  std::fill_n(&page_owner_[first_page], pps_, kUnmapped);
-  std::fill_n(&page_tenant_[first_page], pps_, kDefaultTenant);
+  for (uint64_t p = first_page; p < first_page + pps_; ++p) {
+    page_owner_.Touch(p) = kUnmapped;
+    page_tenant_.Touch(p) = kDefaultTenant;
+  }
   return sector;
 }
 
@@ -718,8 +726,7 @@ Status FlashStore::EraseAndFree(uint64_t sector) {
     return erased.status();
   }
   stats_.erases.Add();
-  h = SectorHot{};
-  h.flags = kFreeFlag;
+  h = SectorHot{};  // Free, no pages.
   next_free_page_[sector] = 0;
   UpdateSectorIndexes(sector);
   free_pool_[static_cast<size_t>(flash_.BankOfSector(sector))].Add(
@@ -791,7 +798,7 @@ Status FlashStore::CheckIndexConsistency() const {
   uint64_t cold_count = 0;
   uint64_t occupied_count = 0;
   uint64_t non_bad = 0;
-  for (uint64_t s = 0; s < hot_.size(); ++s) {
+  for (uint64_t s = 0; s < flash_.num_sectors(); ++s) {
     const SectorMeta m = sector_meta(s);
     const bool usable = !m.active && !m.free && !m.bad;
     if (m.free) {

@@ -39,6 +39,7 @@
 #include "src/obs/stats_export.h"
 #include "src/sim/io_stats.h"
 #include "src/sim/stats.h"
+#include "src/support/paged_column.h"
 #include "src/support/status.h"
 #include "src/support/units.h"
 
@@ -242,11 +243,11 @@ class FlashStore {
   uint64_t free_sectors() const { return free_sector_count_; }
   // Assembled from the SoA columns; a snapshot, not a reference into state.
   SectorMeta sector_meta(uint64_t s) const {
-    const SectorHot& h = hot_[s];
+    const SectorHot h = hot_.Get(s);
     SectorMeta m;
     m.valid_pages = h.valid_pages;
     m.dead_pages = h.dead_pages;
-    m.next_free_page = next_free_page_[s];
+    m.next_free_page = next_free_page_.Get(s);
     m.last_write_time = h.last_write_time;
     m.active = (h.flags & kActiveFlag) != 0;
     m.free = (h.flags & kFreeFlag) != 0;
@@ -409,14 +410,15 @@ class FlashStore {
 
   // Hot column of the per-sector metadata: everything victim selection,
   // index syncs, and the scan oracles read, packed into 16 bytes so a random
-  // sector access touches one cache line and a full-device scan walks a
-  // dense array (64 Ki sectors fit in 1 MiB). The write pointer lives in its
-  // own column below — only the page allocator reads it.
+  // sector access touches one cache line and a full-device scan walks dense
+  // leaves. The write pointer lives in its own column below — only the page
+  // allocator reads it. The defaults describe an erased sector in its bank's
+  // free pool, which is what every sector is until TakeFreeSector opens it.
   struct SectorHot {
     SimTime last_write_time = 0;
     uint16_t valid_pages = 0;
     uint16_t dead_pages = 0;
-    uint8_t flags = 0;
+    uint8_t flags = kFreeFlag;
   };
   static_assert(sizeof(SectorHot) == 16);
 
@@ -433,15 +435,21 @@ class FlashStore {
   // Logical block -> physical page. Grows to the highest block written; a
   // block past its end is unmapped (MappedPage).
   std::vector<uint64_t> map_;
-  // Physical page -> logical block / billing tenant. Allocated but not
-  // initialised at construction: TakeFreeSector initialises a sector's rows
-  // when it opens the sector, and nothing reads a sector's rows before that
-  // (only opened sectors are ever programmed, cleaned or migrated).
-  std::unique_ptr<uint64_t[]> page_owner_;
-  std::unique_ptr<TenantId[]> page_tenant_;
-  std::vector<SectorHot> hot_;          // SoA: hot per-sector metadata.
-  std::vector<uint32_t> next_free_page_;  // SoA: per-sector write pointer.
-  std::vector<FreeSectorPool> free_pool_;  // Per-bank free sectors.
+  // Per-sector and per-page columns hold rows only for sectors that
+  // TakeFreeSector has opened (it creates and initialises a sector's rows);
+  // only opened sectors are ever programmed, cleaned or migrated, so hot
+  // paths index them directly, and an untouched sector reads as free. A
+  // machine that never writes flash allocates none of them.
+  //
+  // Physical page -> logical block / billing tenant. A leaf of 4096 pages
+  // is 256 sectors at 16 pages per sector, matching the sector columns.
+  PagedColumn<uint64_t, 12> page_owner_;
+  PagedColumn<TenantId, 12> page_tenant_;
+  PagedColumn<SectorHot> hot_;          // SoA: hot per-sector metadata.
+  PagedColumn<uint32_t> next_free_page_;  // SoA: per-sector write pointer.
+  // Per-bank free sectors. Each starts as its bank's whole sector range,
+  // held as a fresh range (victim_index.h) when the device was never erased.
+  std::vector<FreeSectorPool> free_pool_;
   uint64_t free_sector_count_ = 0;         // == sum of free_pool_ sizes.
   VictimIndex victim_index_;
   ColdSectorIndex cold_index_;

@@ -19,6 +19,9 @@ void FreeSectorPool::Add(uint64_t sector, uint64_t erase_count) {
 
 int64_t FreeSectorPool::Peek() const {
   if (wear_ordered_) {
+    if (fresh_lo_ < fresh_hi_) {
+      return static_cast<int64_t>(fresh_lo_);
+    }
     if (wear_size_ == 0) {
       return -1;
     }
@@ -26,13 +29,16 @@ int64_t FreeSectorPool::Peek() const {
     return static_cast<int64_t>(b.q[b.head].first);
   }
   if (lifo_.empty()) {
-    return -1;
+    return fresh_lo_ < fresh_hi_ ? static_cast<int64_t>(fresh_hi_ - 1) : -1;
   }
   return static_cast<int64_t>(std::get<0>(lifo_.back()));
 }
 
 int64_t FreeSectorPool::Take() {
   if (wear_ordered_) {
+    if (fresh_lo_ < fresh_hi_) {
+      return static_cast<int64_t>(fresh_lo_++);
+    }
     if (wear_size_ == 0) {
       return -1;
     }
@@ -46,7 +52,7 @@ int64_t FreeSectorPool::Take() {
     return sector;
   }
   if (lifo_.empty()) {
-    return -1;
+    return fresh_lo_ < fresh_hi_ ? static_cast<int64_t>(--fresh_hi_) : -1;
   }
   const int64_t sector = static_cast<int64_t>(std::get<0>(lifo_.back()));
   lifo_.pop_back();
@@ -73,7 +79,11 @@ FreeSectorPool::SnapshotInsertionOrder() const {
     // already in insertion order.
   }
   std::vector<std::pair<uint64_t, uint64_t>> out;
-  out.reserve(entries.size());
+  out.reserve(size());
+  // The fresh range was added first, ascending.
+  for (uint64_t s = fresh_lo_; s < fresh_hi_; ++s) {
+    out.emplace_back(s, 0);
+  }
   for (const auto& [seq, sector, count] : entries) {
     out.emplace_back(sector, count);
   }
@@ -82,10 +92,8 @@ FreeSectorPool::SnapshotInsertionOrder() const {
 
 // --- VictimIndex ----------------------------------------------------------
 
-VictimIndex::VictimIndex(CleanerPolicy policy, uint32_t pages_per_sector,
-                         uint64_t num_sectors)
-    : policy_(policy), pages_per_sector_(pages_per_sector),
-      nodes_(num_sectors) {
+VictimIndex::VictimIndex(CleanerPolicy policy, uint32_t pages_per_sector)
+    : policy_(policy), pages_per_sector_(pages_per_sector) {
   assert(pages_per_sector_ > 0);
   if (policy_ == CleanerPolicy::kGreedy) {
     by_dead_.resize(pages_per_sector_ + 1);
@@ -191,7 +199,7 @@ void VictimIndex::Remove(uint64_t sector) {
 void VictimIndex::Sync(uint64_t sector, uint32_t valid_pages,
                        uint32_t dead_pages, SimTime last_write_time,
                        bool candidate) {
-  Node& node = nodes_[sector];
+  Node& node = nodes_.Touch(sector);
   if (node.present) {
     if (candidate && node.valid == valid_pages && node.dead == dead_pages &&
         node.last_write == last_write_time) {
@@ -264,7 +272,7 @@ int64_t VictimIndex::Pick(SimTime now) const {
 
 void ColdSectorIndex::Sync(uint64_t sector, SimTime last_write_time,
                            bool eligible) {
-  Node& node = nodes_[sector];
+  Node& node = nodes_.Touch(sector);
   if (node.present) {
     if (eligible && node.last_write == last_write_time) {
       return;
@@ -292,23 +300,43 @@ int64_t ColdSectorIndex::PickOlderThan(SimTime now, Duration min_age) const {
 
 // --- WearIndex ------------------------------------------------------------
 
+WearIndex::WearIndex(uint64_t num_sectors) : tracked_(num_sectors) {
+  if (num_sectors > 0) {
+    counts_[0] = num_sectors;
+  }
+}
+
+void WearIndex::AddCount(uint64_t count) {
+  counts_[count] += 1;
+  tracked_ += 1;
+}
+
+void WearIndex::RemoveCount(uint64_t count) {
+  const auto it = counts_.find(count);
+  assert(it != counts_.end() && it->second > 0);
+  if (--it->second == 0) {
+    counts_.erase(it);
+  }
+  tracked_ -= 1;
+}
+
 void WearIndex::Seed(uint64_t sector, uint64_t erase_count) {
-  Node& node = nodes_[sector];
-  assert(!node.tracked);
+  Node& node = nodes_.Touch(sector);
+  assert(node.tracked && !node.occupied);
+  RemoveCount(node.count);
+  AddCount(erase_count);
   node.count = erase_count;
-  node.tracked = true;
-  counts_.insert(erase_count);
 }
 
 void WearIndex::OnEraseCountChanged(uint64_t sector, uint64_t new_count,
                                     bool now_bad) {
-  Node& node = nodes_[sector];
+  Node& node = nodes_.Touch(sector);
   if (node.tracked) {
-    counts_.erase(counts_.find(node.count));
+    RemoveCount(node.count);
     node.tracked = false;
   }
   if (!now_bad) {
-    counts_.insert(new_count);
+    AddCount(new_count);
     node.count = new_count;
     node.tracked = true;
   }
@@ -327,7 +355,7 @@ void WearIndex::OnEraseCountChanged(uint64_t sector, uint64_t new_count,
 
 void WearIndex::SyncOccupied(uint64_t sector, uint64_t erase_count,
                              bool occupied) {
-  Node& node = nodes_[sector];
+  Node& node = nodes_.Touch(sector);
   if (node.occupied) {
     if (occupied && node.occupied_key == erase_count) {
       return;

@@ -37,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/support/paged_column.h"
 #include "src/support/units.h"
 
 namespace ssmc {
@@ -52,9 +53,20 @@ enum class WearPolicy { kNone, kDynamic, kStatic };
 //    worn sectors, the one freed earliest (the scan kept the first strict
 //    minimum in insertion order). Erase counts are frozen while a sector
 //    sits in the pool, so the ordering key never goes stale.
+//
+// A pool may start with a fresh range [fresh_lo, fresh_hi): never-erased
+// sectors (erase count 0), held as two bounds instead of one entry each.
+// It behaves exactly as if Add(s, 0) had been called for every s in the
+// range, ascending, before any other Add: a wear-ordered pool hands the
+// range out ascending and ahead of every later entry (nothing sorts before
+// erase count 0, and the range was added first); a LIFO pool hands it out
+// descending from fresh_hi once everything added later has been taken.
 class FreeSectorPool {
  public:
-  explicit FreeSectorPool(bool wear_ordered) : wear_ordered_(wear_ordered) {}
+  explicit FreeSectorPool(bool wear_ordered, uint64_t fresh_lo = 0,
+                          uint64_t fresh_hi = 0)
+      : wear_ordered_(wear_ordered), fresh_lo_(fresh_lo),
+        fresh_hi_(fresh_hi) {}
 
   void Add(uint64_t sector, uint64_t erase_count);
   // The sector Take() would remove, or -1 if the pool is empty.
@@ -63,7 +75,10 @@ class FreeSectorPool {
   int64_t Take();
 
   bool empty() const { return size() == 0; }
-  uint64_t size() const { return wear_ordered_ ? wear_size_ : lifo_.size(); }
+  uint64_t size() const {
+    return (fresh_hi_ - fresh_lo_) +
+           (wear_ordered_ ? wear_size_ : lifo_.size());
+  }
 
   // (sector, erase_count) pairs in insertion order — the exact sequence the
   // retired linear-scan allocator iterated. Used by the differential oracle
@@ -81,6 +96,10 @@ class FreeSectorPool {
   };
 
   bool wear_ordered_;
+  // The untaken part of the fresh range. Wear-ordered pools take from the
+  // bottom, LIFO pools from the top.
+  uint64_t fresh_lo_;
+  uint64_t fresh_hi_;
   uint64_t next_seq_ = 0;
   // wear_ordered_: per-erase-count FIFO buckets, keyed by erase count. The
   // retired flat set ordered entries by (erase_count, seq, sector); seq is
@@ -122,8 +141,7 @@ class FreeSectorPool {
 // stays proportional to the live candidate set.
 class VictimIndex {
  public:
-  VictimIndex(CleanerPolicy policy, uint32_t pages_per_sector,
-              uint64_t num_sectors);
+  VictimIndex(CleanerPolicy policy, uint32_t pages_per_sector);
 
   // Brings `sector`'s membership in line with its current metadata.
   // `candidate` must be (!active && !free && !bad && dead_pages > 0).
@@ -133,13 +151,15 @@ class VictimIndex {
   // The sector the linear scan would pick at `now`, or -1 if no candidate.
   int64_t Pick(SimTime now) const;
 
-  bool Contains(uint64_t sector) const { return nodes_[sector].present; }
+  bool Contains(uint64_t sector) const { return nodes_.Get(sector).present; }
   uint64_t size() const { return size_; }
 
   // Advisory: begin pulling `sector`'s shadow node into cache ahead of a
   // Sync call (the node array is too large to stay resident).
   void Prefetch(uint64_t sector) const {
-    __builtin_prefetch(&nodes_[sector], 1);
+    if (const Node* node = nodes_.Find(sector)) {
+      __builtin_prefetch(node, 1);
+    }
   }
 
  private:
@@ -184,7 +204,8 @@ class VictimIndex {
   void Remove(uint64_t sector);
   void Insert(uint64_t sector, uint32_t valid, uint32_t dead, SimTime t);
 
-  // True if the heap entry still describes a live candidate.
+  // True if the heap entry still describes a live candidate (its sector was
+  // synced, so its node exists).
   bool EntryLive(uint64_t sector, uint32_t epoch) const {
     const Node& node = nodes_[sector];
     return node.present && node.epoch == epoch;
@@ -198,7 +219,7 @@ class VictimIndex {
 
   CleanerPolicy policy_;
   uint32_t pages_per_sector_;
-  std::vector<Node> nodes_;
+  PagedColumn<Node> nodes_;  // Created when a sector is first synced.
   std::vector<IndexHeap> by_dead_;        // kGreedy: [dead] -> sectors.
   std::vector<AgeHeap> by_valid_age_;     // kCostBenefit: [valid].
   std::vector<IndexHeap> by_valid_index_; // kCostBenefit: [valid].
@@ -210,7 +231,7 @@ class VictimIndex {
 // sector index) eligible sector is the front of one ordered set.
 class ColdSectorIndex {
  public:
-  explicit ColdSectorIndex(uint64_t num_sectors) : nodes_(num_sectors) {}
+  ColdSectorIndex() = default;
 
   // `eligible` must be (in hot range && !active && !free && !bad &&
   // dead_pages == 0 && valid_pages > 0).
@@ -221,7 +242,7 @@ class ColdSectorIndex {
   // too young every candidate is.)
   int64_t PickOlderThan(SimTime now, Duration min_age) const;
 
-  bool Contains(uint64_t sector) const { return nodes_[sector].present; }
+  bool Contains(uint64_t sector) const { return nodes_.Get(sector).present; }
   uint64_t size() const { return by_age_.size(); }
 
  private:
@@ -229,7 +250,7 @@ class ColdSectorIndex {
     SimTime last_write = 0;
     bool present = false;
   };
-  std::vector<Node> nodes_;
+  PagedColumn<Node> nodes_;  // Created when a sector is first synced.
   std::set<std::pair<SimTime, uint64_t>> by_age_;
 };
 
@@ -241,11 +262,17 @@ class ColdSectorIndex {
 // Erase counts of occupied sectors are frozen (only EraseAndFree erases, and
 // it runs on sectors leaving the occupied set), so the occupied set's keys
 // never go stale between the erase notification and the follow-up Sync.
+//
+// The erase-count tracker is a histogram (count -> sectors at that count),
+// so a never-erased card is one entry and construction does no per-sector
+// work; per-sector nodes are created at a sector's first notification.
 class WearIndex {
  public:
-  explicit WearIndex(uint64_t num_sectors) : nodes_(num_sectors) {}
+  // Tracks sectors [0, num_sectors), all at erase count 0.
+  explicit WearIndex(uint64_t num_sectors);
 
-  // Registers a sector's initial erase count (construction time).
+  // Sets a tracked, unoccupied sector's erase count before any notification
+  // (a card that already has erase history).
   void Seed(uint64_t sector, uint64_t erase_count);
 
   // Erase-count change notification (wired to FlashDevice's erase observer).
@@ -256,26 +283,32 @@ class WearIndex {
   void SyncOccupied(uint64_t sector, uint64_t erase_count, bool occupied);
 
   bool has_sectors() const { return !counts_.empty(); }
-  uint64_t min_erases() const { return *counts_.begin(); }
-  uint64_t max_erases() const { return *counts_.rbegin(); }
+  uint64_t min_erases() const { return counts_.begin()->first; }
+  uint64_t max_erases() const { return counts_.rbegin()->first; }
   // Lowest-index sector among the least-erased occupied ones, or -1.
   int64_t ColdestOccupied() const;
 
   bool OccupiedContains(uint64_t sector) const {
-    return nodes_[sector].occupied;
+    return nodes_.Get(sector).occupied;
   }
   uint64_t occupied_size() const { return occupied_.size(); }
-  uint64_t tracked_sectors() const { return counts_.size(); }
+  uint64_t tracked_sectors() const { return tracked_; }
 
  private:
+  // The defaults describe a sector no notification has touched: tracked at
+  // erase count 0, unoccupied.
   struct Node {
     uint64_t count = 0;       // Key under which the sector is tracked.
-    bool tracked = false;     // In counts_.
+    bool tracked = true;      // Counted in counts_.
     uint64_t occupied_key = 0;
     bool occupied = false;    // In occupied_.
   };
-  std::vector<Node> nodes_;
-  std::multiset<uint64_t> counts_;               // Non-bad sectors.
+  void AddCount(uint64_t count);
+  void RemoveCount(uint64_t count);
+
+  PagedColumn<Node> nodes_;
+  std::map<uint64_t, uint64_t> counts_;  // Erase count -> non-bad sectors.
+  uint64_t tracked_;                     // Sum of counts_.
   std::set<std::pair<uint64_t, uint64_t>> occupied_;  // (count, sector).
 };
 

@@ -36,12 +36,11 @@ Status MetadataJournal::WriteSuperblock() {
   sb.log_tail = log_block_ids_.empty() ? kNoFlashBlock : log_block_ids_.back();
   sb.log_blocks = log_block_ids_.size();
 
-  std::vector<uint8_t> image;
-  EncodeJournalSuperblock(sb, storage_.page_bytes(), image);
+  EncodeJournalSuperblock(sb, storage_.page_bytes(), superblock_buf_);
   // Alternate slots by generation so the previous generation always
   // survives a torn program of the current one.
   const uint64_t slot = (sb.generation % 2 == 1) ? kSuperblockA : kSuperblockB;
-  SSMC_RETURN_IF_ERROR(WriteBlock(slot, image, IoPriority::kFlush));
+  SSMC_RETURN_IF_ERROR(WriteBlock(slot, superblock_buf_, IoPriority::kFlush));
   generation_ = sb.generation;
   stats_.superblock_writes.Add();
   return Status::Ok();
@@ -81,10 +80,12 @@ Result<uint64_t> MetadataJournal::Append(JournalRecord record) {
     // one block. The store's out-of-place program keeps the previous tail
     // version mapped if this write tears, so acked records are never at
     // risk; on failure the spliced bytes are zeroed back out so a later
-    // Append cannot resurrect an un-acked record.
-    std::vector<uint8_t> encoded;
-    EncodeJournalRecord(record, encoded);
-    std::memcpy(tail_buf_.data() + tail_used_, encoded.data(), size);
+    // Append cannot resurrect an un-acked record. The record is encoded in
+    // place: truncating to tail_used_ keeps the block's capacity, and the
+    // bytes past the record were zero and are zero again.
+    tail_buf_.resize(tail_used_);
+    EncodeJournalRecord(record, tail_buf_);
+    tail_buf_.resize(bs, 0);
     Status wrote =
         WriteBlock(log_block_ids_.back(), tail_buf_, IoPriority::kFlush);
     if (!wrote.ok()) {

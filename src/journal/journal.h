@@ -173,6 +173,7 @@ class MetadataJournal {
   // tail_used_). Rewritten in place on every Append.
   std::vector<uint8_t> tail_buf_;
   uint64_t tail_used_ = 0;
+  std::vector<uint8_t> superblock_buf_;  // Reused by WriteSuperblock.
   Stats stats_;
   StatsExport export_;  // Last: flushes while the state above is alive.
 };

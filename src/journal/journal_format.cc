@@ -12,16 +12,32 @@ constexpr uint64_t kCheckpointMagic = 0x50484B43434D5353ull;  // "SSMCCKHP"
 constexpr uint64_t kLogMagic = 0x30474F4C434D5353ull;         // "SSMCLOG0"
 constexpr uint16_t kFormatVersion = 1;
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables for the reflected CRC-32 polynomial: table[0] is the
+// classic bytewise table, and table[k][b] is the CRC of byte b followed by k
+// zero bytes, so eight input bytes fold into the running CRC with eight
+// independent lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables BuildCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < t.size(); ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
+}
+
+uint32_t LoadU32(const uint8_t* p) {
+  return uint32_t{p[0]} | (uint32_t{p[1]} << 8) | (uint32_t{p[2]} << 16) |
+         (uint32_t{p[3]} << 24);
 }
 
 void AppendU64(std::vector<uint8_t>& out, uint64_t v) {
@@ -72,9 +88,20 @@ constexpr uint64_t kRecordFixedBytes =
 }  // namespace
 
 uint32_t Crc32(uint32_t seed, std::span<const uint8_t> data) {
-  static const std::array<uint32_t, 256> table = BuildCrcTable();
+  static const CrcTables t = BuildCrcTables();
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (uint8_t byte : data) c = table[(c ^ byte) & 0xFF] ^ (c >> 8);
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadU32(p) ^ c;
+    const uint32_t hi = LoadU32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
+  }
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -104,6 +131,7 @@ uint64_t EncodeJournalRecord(const JournalRecord& record,
   const uint64_t start = out.size();
   const uint64_t total = EncodedJournalRecordSize(record);
   const uint32_t length = static_cast<uint32_t>(total - 8);  // After crc+len.
+  out.reserve(start + total);
   AppendU32(out, 0);  // CRC placeholder.
   AppendU32(out, length);
   out.push_back(static_cast<uint8_t>(record.type));

@@ -5,6 +5,28 @@
 
 namespace ssmc {
 
+namespace {
+
+// A page's payload slot. The tables end at the highest page ever written,
+// growing geometrically as writes reach new pages; the allocators hand out
+// the lowest never-taken page first, so a table stays as long as the pages
+// actually in use.
+PayloadRef& PayloadSlot(std::vector<PayloadRef>& table, uint64_t page) {
+  if (page >= table.size()) {
+    table.resize(page + 1);
+  }
+  return table[page];
+}
+
+// A page's payload, or null when the page is past the table's end (never
+// written: zero fill).
+const PayloadRef* FindPayload(const std::vector<PayloadRef>& table,
+                              uint64_t page) {
+  return page < table.size() ? &table[page] : nullptr;
+}
+
+}  // namespace
+
 StorageManager::StorageManager(DramDevice& dram, FlashStore& flash_store,
                                uint64_t page_bytes,
                                ResidencyOptions residency, NvmDevice* nvm)
@@ -16,8 +38,6 @@ StorageManager::StorageManager(DramDevice& dram, FlashStore& flash_store,
   assert(page_bytes_ > 0);
   assert(page_bytes_ == flash_store_.block_bytes() &&
          "DRAM page size must match the flash store block size");
-  page_payloads_.resize(total_dram_pages());
-  nvm_page_payloads_.resize(total_nvm_pages());
 
   // Built after the allocators so the residency manager can size its clean
   // cache against total_dram_pages().
@@ -60,7 +80,9 @@ Status StorageManager::FreeDramPage(uint64_t page) {
     return FailedPreconditionError("double free of DRAM page " +
                                    std::to_string(page));
   }
-  page_payloads_[page].Reset();
+  if (page < page_payloads_.size()) {
+    page_payloads_[page].Reset();
+  }
   dram_pages_.Put(page);
   return Status::Ok();
 }
@@ -81,7 +103,9 @@ Status StorageManager::FreeNvmPage(uint64_t page) {
     return FailedPreconditionError("double free of NVM page " +
                                    std::to_string(page));
   }
-  nvm_page_payloads_[page].Reset();
+  if (page < nvm_page_payloads_.size()) {
+    nvm_page_payloads_[page].Reset();
+  }
   nvm_pages_.Put(page);
   return Status::Ok();
 }
@@ -93,9 +117,9 @@ Duration StorageManager::ReadNvmPagePayload(uint64_t page, uint64_t offset,
   assert(page < total_nvm_pages() && offset + out.size() <= page_bytes_);
   const Result<Duration> d =
       nvm_->Read(NvmPageAddress(page) + offset, out.size(), issue);
-  const PayloadRef& ref = nvm_page_payloads_[page];
-  if (ref) {
-    std::memcpy(out.data(), ref.data() + offset, out.size());
+  const PayloadRef* ref = FindPayload(nvm_page_payloads_, page);
+  if (ref != nullptr && *ref) {
+    std::memcpy(out.data(), ref->data() + offset, out.size());
   } else {
     std::memset(out.data(), 0, out.size());
   }
@@ -109,7 +133,7 @@ Duration StorageManager::InstallNvmPagePayload(uint64_t page,
   assert(page < total_nvm_pages() && payload.size() == page_bytes_);
   const Result<Duration> d =
       nvm_->Write(NvmPageAddress(page), page_bytes_, issue);
-  nvm_page_payloads_[page] = std::move(payload);
+  PayloadSlot(nvm_page_payloads_, page) = std::move(payload);
   return d.value_or(0);
 }
 
@@ -118,7 +142,7 @@ PayloadRef StorageManager::ReadNvmPagePayloadRef(uint64_t page,
   assert(nvm_ != nullptr);
   assert(page < total_nvm_pages());
   (void)nvm_->Read(NvmPageAddress(page), page_bytes_, issue);
-  PayloadRef& ref = nvm_page_payloads_[page];
+  PayloadRef& ref = PayloadSlot(nvm_page_payloads_, page);
   if (!ref) {
     if (!zero_extent_) {
       zero_extent_ = extent_pool().Allocate();
@@ -133,9 +157,9 @@ Duration StorageManager::ReadPagePayload(uint64_t page, uint64_t offset,
                                          std::span<uint8_t> out) {
   assert(page < total_dram_pages() && offset + out.size() <= page_bytes_);
   const Duration d = dram_.ChargeAccess(out.size(), /*is_write=*/false);
-  const PayloadRef& ref = page_payloads_[page];
-  if (ref) {
-    std::memcpy(out.data(), ref.data() + offset, out.size());
+  const PayloadRef* ref = FindPayload(page_payloads_, page);
+  if (ref != nullptr && *ref) {
+    std::memcpy(out.data(), ref->data() + offset, out.size());
   } else {
     std::memset(out.data(), 0, out.size());
   }
@@ -146,7 +170,7 @@ Duration StorageManager::WritePagePayload(uint64_t page, uint64_t offset,
                                           std::span<const uint8_t> data) {
   assert(page < total_dram_pages() && offset + data.size() <= page_bytes_);
   const Duration d = dram_.ChargeAccess(data.size(), /*is_write=*/true);
-  PayloadRef& ref = page_payloads_[page];
+  PayloadRef& ref = PayloadSlot(page_payloads_, page);
   if (!ref) {
     if (offset == 0 && data.size() == page_bytes_) {
       ref = extent_pool().AllocateCopy(data.data());
@@ -165,7 +189,7 @@ Duration StorageManager::WritePagePayload(uint64_t page, uint64_t offset,
 Duration StorageManager::InstallPagePayload(uint64_t page, PayloadRef payload) {
   assert(page < total_dram_pages() && payload.size() == page_bytes_);
   const Duration d = dram_.ChargeAccess(page_bytes_, /*is_write=*/true);
-  page_payloads_[page] = std::move(payload);
+  PayloadSlot(page_payloads_, page) = std::move(payload);
   return d;
 }
 
@@ -176,14 +200,14 @@ Duration StorageManager::ZeroFillPagePayload(uint64_t page) {
     zero_extent_ = extent_pool().Allocate();
     std::memset(zero_extent_.MutableData(), 0, page_bytes_);
   }
-  page_payloads_[page] = zero_extent_;
+  PayloadSlot(page_payloads_, page) = zero_extent_;
   return d;
 }
 
 PayloadRef StorageManager::ReadPagePayloadRef(uint64_t page) {
   assert(page < total_dram_pages());
   dram_.ChargeAccess(page_bytes_, /*is_write=*/false);
-  PayloadRef& ref = page_payloads_[page];
+  PayloadRef& ref = PayloadSlot(page_payloads_, page);
   if (!ref) {
     if (!zero_extent_) {
       zero_extent_ = extent_pool().Allocate();
@@ -195,9 +219,7 @@ PayloadRef StorageManager::ReadPagePayloadRef(uint64_t page) {
 }
 
 void StorageManager::DropAllPagePayloads() {
-  for (PayloadRef& ref : page_payloads_) {
-    ref.Reset();
-  }
+  page_payloads_.clear();  // Every page now reads as zero fill.
   zero_extent_.Reset();
 }
 

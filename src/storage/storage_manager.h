@@ -162,8 +162,10 @@ class StorageManager {
   IndexPool dram_pages_;
   IndexPool nvm_pages_;
   IndexPool flash_blocks_;
-  std::vector<PayloadRef> page_payloads_;      // Indexed by DRAM page.
-  std::vector<PayloadRef> nvm_page_payloads_;  // Indexed by NVM page.
+  // Indexed by page; each ends at the highest page written so far, and a
+  // page past the end reads as zero fill (PayloadSlot in the .cc).
+  std::vector<PayloadRef> page_payloads_;      // DRAM pages.
+  std::vector<PayloadRef> nvm_page_payloads_;  // NVM pages.
   PayloadRef zero_extent_;                 // Lazily built, shared by aliasing.
   // Declared after the allocators: its destructor returns the clean cache's
   // DRAM pages to them, so they must still be alive.

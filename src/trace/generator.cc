@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <map>
 #include <mutex>
 #include <queue>
@@ -74,6 +75,22 @@ WorkloadGenerator::WorkloadGenerator(WorkloadOptions options)
 
 Trace WorkloadGenerator::Generate() {
   Trace trace;
+  // Reserve the record count up front. Each created file (initial or
+  // steady-state) costs a create, its first write and, if short-lived, a
+  // scheduled unlink; every other steady-state op costs one record.
+  // Explicit deletes pre-empt some scheduled unlinks, so this leans high,
+  // and five standard deviations of the Poisson op count are added as
+  // margin. Growing by doubling instead copies the whole trace at each step
+  // and peaks at about twice its final size, and the allocator then returns
+  // (and later re-faults) that peak every time a long trace is freed. A
+  // count past the estimate just grows as before.
+  const double per_create = 2 + options_.p_short_lived;
+  const double steady_ops = static_cast<double>(options_.duration) /
+                            static_cast<double>(options_.mean_interarrival);
+  const double per_op = 1 + options_.p_create * (per_create - 1);
+  trace.Reserve(static_cast<size_t>(
+      options_.num_directories + options_.initial_files * per_create +
+      (steady_ops + 5 * std::sqrt(steady_ops)) * per_op + 64));
 
   struct LiveFile {
     std::string path;

@@ -52,6 +52,8 @@ struct TraceRecord {
 class Trace {
  public:
   void Add(TraceRecord record) { records_.push_back(std::move(record)); }
+  // Capacity hint for a trace whose length is known or estimated up front.
+  void Reserve(size_t records) { records_.reserve(records); }
   const std::vector<TraceRecord>& records() const { return records_; }
   size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }

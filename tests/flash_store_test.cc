@@ -6,6 +6,8 @@
 #include <numeric>
 #include <vector>
 
+#include "src/support/rng.h"
+
 namespace ssmc {
 namespace {
 
@@ -212,6 +214,60 @@ TEST_F(FlashStoreTest, LazySectorRowsSurviveOutOfOrderOpens) {
     auto out = Block(0);
     ASSERT_TRUE(store_->Read(b, out).ok()) << "block " << b;
     EXPECT_EQ(out, Block(fill)) << "block " << b;
+  }
+}
+
+// A fresh card seeds each bank's free pool as its whole sector range;
+// a card with erase history seeds it sector by sector, ordered by erase
+// count. Either way the first sector opened must be the one the per-sector
+// order picks, and validate_indexes cross-checks every later take (and
+// cleaning victim and static wear-level target) against the linear-scan
+// oracles.
+TEST_F(FlashStoreTest, FreePoolOrderOnFreshAndPreErasedCards) {
+  constexpr uint64_t kSectorBytes = 2048;
+  for (const WearPolicy wear :
+       {WearPolicy::kDynamic, WearPolicy::kStatic, WearPolicy::kNone}) {
+    for (const bool pre_erased : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "wear=" << static_cast<int>(wear)
+                                      << " pre_erased=" << pre_erased);
+      // 64 sectors in 2 banks of 32. The old store goes first: a static
+      // wear-leveling store unhooks its erase observer from its device.
+      store_.reset();
+      flash_ = std::make_unique<FlashDevice>(SmallFlashSpec(), 128 * 1024, 2,
+                                             clock_, /*seed=*/3);
+      if (pre_erased) {
+        // Sectors 0 and 1 (bank 0) and 33 (bank 1) carry wear; sector 31,
+        // the top of bank 0, is erased once too.
+        for (const uint64_t s : {0u, 1u, 1u, 31u, 33u}) {
+          ASSERT_TRUE(flash_->EraseSector(s).ok());
+        }
+      }
+      FlashStoreOptions options;
+      options.wear = wear;
+      options.validate_indexes = true;
+      store_ = std::make_unique<FlashStore>(*flash_, options);
+      ASSERT_TRUE(store_->CheckIndexConsistency().ok());
+      EXPECT_EQ(store_->free_sectors(), 64u);
+
+      // The first write opens a sector in bank 0: least-worn first, lowest
+      // index among equals (dynamic and static), or the last added (LIFO, no
+      // wear order — erase history does not matter).
+      ASSERT_TRUE(store_->Write(0, Block(1)).ok());
+      uint64_t want = 31;
+      if (wear != WearPolicy::kNone) {
+        want = pre_erased ? 2 : 0;
+      }
+      EXPECT_EQ(store_->PhysicalAddressOf(0).value() / kSectorBytes, want);
+
+      Rng rng(11);
+      for (int i = 0; i < 3000; ++i) {
+        const uint64_t block = rng.NextBelow(store_->num_blocks());
+        ASSERT_TRUE(store_->Write(block, Block(static_cast<uint8_t>(i))).ok());
+      }
+      EXPECT_GT(store_->stats().gc_runs.value(), 0u);
+      EXPECT_EQ(store_->index_validation_failures(), 0u);
+      EXPECT_TRUE(store_->CheckIndexConsistency().ok());
+    }
   }
 }
 

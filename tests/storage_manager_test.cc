@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
+#include "src/core/machine.h"
 #include "src/support/rng.h"
 #include "tests/legacy_free_list.h"
 
@@ -124,6 +127,182 @@ TEST_F(StorageManagerTest, MetadataChargesAdvanceClock) {
   const SimTime mid = clock_.now();
   manager_.ChargeMetadataWrite(64);
   EXPECT_GT(clock_.now(), mid);
+}
+
+// --- Page payload tables ---------------------------------------------------
+// The payload tables end at the highest page written so far. Pages below
+// that point and pages past it (never allocated or written) must read,
+// write, install and lend their payloads identically, and charge the same
+// DRAM/NVM time.
+
+std::vector<uint8_t> Pattern(uint64_t bytes, uint8_t base) {
+  std::vector<uint8_t> out(bytes);
+  for (uint64_t i = 0; i < bytes; ++i) {
+    out[i] = static_cast<uint8_t>(base + i);
+  }
+  return out;
+}
+
+TEST_F(StorageManagerTest, DramPayloadsBelowAndPastTheTableEnd) {
+  constexpr uint64_t kBs = 512;
+  const std::vector<uint8_t> zeros(kBs, 0);
+  ASSERT_EQ(manager_.AllocateDramPage().value(), 0u);
+  ASSERT_EQ(manager_.AllocateDramPage().value(), 1u);
+  const std::vector<uint8_t> a = Pattern(kBs, 1);
+  const Duration write_below = manager_.WritePagePayload(0, 0, a);
+
+  // Reads: a written page, an allocated never-written page, and a page far
+  // past anything written all cost the same; the last two read zeros.
+  std::vector<uint8_t> out(kBs, 0xEE);
+  SimTime t0 = clock_.now();
+  const Duration read_below = manager_.ReadPagePayload(0, 0, out);
+  EXPECT_EQ(clock_.now() - t0, read_below);
+  EXPECT_EQ(out, a);
+  EXPECT_EQ(manager_.ReadPagePayload(1, 0, out), read_below);
+  EXPECT_EQ(out, zeros);
+  out.assign(kBs, 0xEE);
+  t0 = clock_.now();
+  EXPECT_EQ(manager_.ReadPagePayload(100, 0, out), read_below);
+  EXPECT_EQ(clock_.now() - t0, read_below);
+  EXPECT_EQ(out, zeros);
+
+  // Writes past the end: a whole page and a partial one (zero-filled
+  // around the written bytes).
+  const std::vector<uint8_t> b = Pattern(kBs, 50);
+  EXPECT_EQ(manager_.WritePagePayload(90, 0, b), write_below);
+  const std::vector<uint8_t> snippet = {7, 8, 9};
+  manager_.WritePagePayload(120, 10, snippet);
+  EXPECT_EQ(manager_.ReadPagePayload(90, 0, out), read_below);
+  EXPECT_EQ(out, b);
+  manager_.ReadPagePayload(120, 0, out);
+  std::vector<uint8_t> want = zeros;
+  std::copy(snippet.begin(), snippet.end(), want.begin() + 10);
+  EXPECT_EQ(out, want);
+  // Pages between the old end and a far write stay zero.
+  manager_.ReadPagePayload(60, 0, out);
+  EXPECT_EQ(out, zeros);
+
+  // Installs and zero fills past the end, and a borrowed ref of a page no
+  // one wrote (the shared zero extent).
+  const std::vector<uint8_t> c = Pattern(kBs, 99);
+  const Duration install = manager_.InstallPagePayload(
+      127, manager_.extent_pool().AllocateCopy(c.data()));
+  EXPECT_EQ(install, write_below);
+  manager_.ReadPagePayload(127, 0, out);
+  EXPECT_EQ(out, c);
+  EXPECT_EQ(manager_.ZeroFillPagePayload(126), write_below);
+  manager_.ReadPagePayload(126, 0, out);
+  EXPECT_EQ(out, zeros);
+  const PayloadRef lent = manager_.ReadPagePayloadRef(110);
+  ASSERT_EQ(lent.size(), kBs);
+  EXPECT_EQ(std::vector<uint8_t>(lent.data(), lent.data() + kBs), zeros);
+  // Writing the lent page must not disturb the borrowed (shared) extent.
+  manager_.WritePagePayload(110, 0, a);
+  EXPECT_EQ(std::vector<uint8_t>(lent.data(), lent.data() + kBs), zeros);
+  manager_.ReadPagePayload(110, 0, out);
+  EXPECT_EQ(out, a);
+
+  // Freeing drops the payload: the page reads zero when it comes back.
+  ASSERT_TRUE(manager_.FreeDramPage(0).ok());
+  ASSERT_EQ(manager_.AllocateDramPage().value(), 0u);
+  manager_.ReadPagePayload(0, 0, out);
+  EXPECT_EQ(out, zeros);
+
+  // Battery failure: every page reads zero again, wherever it was, and the
+  // tables keep working afterwards.
+  manager_.WritePagePayload(0, 0, a);
+  manager_.DropAllPagePayloads();
+  for (const uint64_t page : {0u, 1u, 90u, 110u, 120u, 126u, 127u}) {
+    manager_.ReadPagePayload(page, 0, out);
+    EXPECT_EQ(out, zeros) << "page " << page;
+  }
+  manager_.WritePagePayload(127, 0, b);
+  manager_.ReadPagePayload(127, 0, out);
+  EXPECT_EQ(out, b);
+  const PayloadRef zero_again = manager_.ReadPagePayloadRef(5);
+  EXPECT_EQ(std::vector<uint8_t>(zero_again.data(), zero_again.data() + kBs),
+            zeros);
+}
+
+TEST(StorageManagerNvmTest, NvmPayloadsBelowAndPastTheTableEnd) {
+  constexpr uint64_t kBs = 512;
+  SimClock clock;
+  DramDevice dram(TestDramSpec(), 64 * 1024, clock);
+  FlashDevice flash(TestFlashSpec(), 128 * 1024, 1, clock);
+  FlashStore store(flash, {});
+  NvmDevice nvm(PcmNvm(), 64 * 1024, 1, clock);
+  StorageManager manager(dram, store, kBs, {}, &nvm);
+  ASSERT_EQ(manager.total_nvm_pages(), 128u);
+  const std::vector<uint8_t> zeros(kBs, 0);
+  const std::vector<uint8_t> a = Pattern(kBs, 3);
+
+  ASSERT_EQ(manager.AllocateNvmPage().value(), 0u);
+  manager.InstallNvmPagePayload(0, manager.extent_pool().AllocateCopy(a.data()));
+  std::vector<uint8_t> out(kBs, 0xEE);
+  manager.ReadNvmPagePayload(0, 0, out);
+  EXPECT_EQ(out, a);
+  // Past the end: never-written pages read zeros, partially too.
+  std::vector<uint8_t> part(16, 0xEE);
+  manager.ReadNvmPagePayload(77, 100, part);
+  EXPECT_EQ(part, std::vector<uint8_t>(16, 0));
+  const PayloadRef lent = manager.ReadNvmPagePayloadRef(64);
+  ASSERT_EQ(lent.size(), kBs);
+  EXPECT_EQ(std::vector<uint8_t>(lent.data(), lent.data() + kBs), zeros);
+  // Install far past the end, then read back a slice.
+  const std::vector<uint8_t> b = Pattern(kBs, 200);
+  manager.InstallNvmPagePayload(127, manager.extent_pool().AllocateCopy(b.data()));
+  manager.ReadNvmPagePayload(127, 8, part);
+  EXPECT_EQ(part, std::vector<uint8_t>(b.begin() + 8, b.begin() + 24));
+  // NVM survives a DRAM content loss.
+  manager.DropAllPagePayloads();
+  manager.ReadNvmPagePayload(0, 0, out);
+  EXPECT_EQ(out, a);
+  // Freeing drops the payload.
+  ASSERT_TRUE(manager.FreeNvmPage(0).ok());
+  EXPECT_EQ(manager.FreeNvmPage(0).code(), ErrorCode::kFailedPrecondition);
+  ASSERT_EQ(manager.AllocateNvmPage().value(), 0u);
+  manager.ReadNvmPagePayload(0, 0, out);
+  EXPECT_EQ(out, zeros);
+}
+
+// Recovery builds a fresh storage manager (empty payload tables) over the
+// surviving flash; recovered files must read back intact and stay writable,
+// with and without the journal.
+TEST(StorageManagerRecoveryTest, RecoveredFilesReadBackThroughFreshTables) {
+  for (const bool journal : {false, true}) {
+    SCOPED_TRACE(journal ? "journal" : "checkpoint");
+    MachineConfig config = NotebookConfig();
+    config.checkpoint_period = 10 * kSecond;
+    config.journal = journal;
+    MobileComputer machine(config);
+    ASSERT_TRUE(machine.fs().Mkdir("/d").ok());
+    std::vector<std::vector<uint8_t>> contents;
+    for (int f = 0; f < 6; ++f) {
+      const std::string path = "/d/f" + std::to_string(f);
+      ASSERT_TRUE(machine.fs().Create(path).ok());
+      contents.push_back(Pattern(512 * static_cast<uint64_t>(f + 1) + 37,
+                                 static_cast<uint8_t>(f * 40)));
+      ASSERT_TRUE(machine.fs().Write(path, 0, contents.back()).ok());
+    }
+    ASSERT_TRUE(machine.fs().Sync().ok());
+    machine.Idle(30 * kSecond);  // Checkpoint daemon runs.
+
+    machine.InjectBatteryFailure();
+    Result<RecoveryReport> report = machine.RecoverAfterFailure(20000);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    for (int f = 0; f < 6; ++f) {
+      const std::string path = "/d/f" + std::to_string(f);
+      std::vector<uint8_t> out(contents[f].size());
+      Result<uint64_t> read = machine.fs().Read(path, 0, out);
+      ASSERT_TRUE(read.ok()) << path;
+      EXPECT_EQ(out, contents[f]) << path;
+    }
+    const std::vector<uint8_t> fresh = Pattern(1500, 17);
+    ASSERT_TRUE(machine.fs().Write("/d/f0", 0, fresh).ok());
+    std::vector<uint8_t> out(fresh.size());
+    ASSERT_TRUE(machine.fs().Read("/d/f0", 0, out).ok());
+    EXPECT_EQ(out, fresh);
+  }
 }
 
 // --- Allocation-order differential --------------------------------------

@@ -86,7 +86,7 @@ TEST_P(VictimIndexDifferentialTest, MatchesScanUnderRandomChurn) {
 
   Rng rng(42);
   std::vector<ShadowSector> sectors(kSectors);
-  VictimIndex index(policy, kPages, kSectors);
+  VictimIndex index(policy, kPages);
   SimTime now = 0;
 
   for (int step = 0; step < 5000; ++step) {
@@ -158,6 +158,73 @@ TEST(FreeSectorPoolTest, WearOrderedMatchesScanWithTies) {
   }
 }
 
+// A pool seeded with a fresh range must be indistinguishable from one that
+// had Add(s, 0) called for every sector of the range, ascending, before
+// anything else: same picks, sizes and insertion-order snapshots through
+// interleaved Adds (re-adding taken sectors at erase counts that tie with
+// the range), Takes and Peeks, until both pools run dry.
+TEST(FreeSectorPoolTest, FreshRangeMatchesEagerAdds) {
+  constexpr uint64_t kLo = 96;
+  constexpr uint64_t kHi = 160;
+  for (const bool wear : {false, true}) {
+    for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "wear_ordered=" << wear
+                                      << " seed=" << seed);
+      FreeSectorPool fresh(wear, kLo, kHi);
+      FreeSectorPool eager(wear);
+      for (uint64_t s = kLo; s < kHi; ++s) {
+        eager.Add(s, 0);
+      }
+      std::vector<uint64_t> taken;
+      Rng rng(seed);
+      for (int step = 0; step < 3000; ++step) {
+        ASSERT_EQ(fresh.size(), eager.size());
+        ASSERT_EQ(fresh.Peek(), eager.Peek());
+        ASSERT_EQ(fresh.SnapshotInsertionOrder(),
+                  eager.SnapshotInsertionOrder());
+        ASSERT_EQ(fresh.Peek(),
+                  ScanPickFreeSector(fresh.SnapshotInsertionOrder(), wear));
+        // Drain more than refill for the first half, so the range runs out
+        // with entries added behind it; refill after that.
+        const double add_p = step < 1500 ? 0.3 : 0.6;
+        if (!taken.empty() && rng.NextBool(add_p)) {
+          const size_t i = rng.NextBelow(taken.size());
+          const uint64_t count = rng.NextBelow(3);  // 0 ties with the range.
+          fresh.Add(taken[i], count);
+          eager.Add(taken[i], count);
+          taken.erase(taken.begin() + static_cast<ptrdiff_t>(i));
+        } else {
+          const int64_t got = fresh.Take();
+          ASSERT_EQ(got, eager.Take());
+          if (got >= 0) {
+            taken.push_back(static_cast<uint64_t>(got));
+          }
+        }
+      }
+      while (!eager.empty()) {
+        ASSERT_EQ(fresh.Take(), eager.Take());
+      }
+      EXPECT_TRUE(fresh.empty());
+      EXPECT_EQ(fresh.Take(), -1);
+    }
+  }
+}
+
+TEST(FreeSectorPoolTest, FreshRangeOrderWithoutLaterAdds) {
+  FreeSectorPool wear(/*wear_ordered=*/true, 10, 13);
+  FreeSectorPool lifo(/*wear_ordered=*/false, 10, 13);
+  EXPECT_EQ(wear.size(), 3u);
+  EXPECT_EQ(lifo.size(), 3u);
+  for (const int64_t want : {10, 11, 12}) {
+    EXPECT_EQ(wear.Take(), want);
+  }
+  for (const int64_t want : {12, 11, 10}) {
+    EXPECT_EQ(lifo.Take(), want);
+  }
+  EXPECT_EQ(wear.Take(), -1);
+  EXPECT_EQ(lifo.Take(), -1);
+}
+
 TEST(FreeSectorPoolTest, EmptyPoolReturnsMinusOne) {
   for (const bool wear : {false, true}) {
     FreeSectorPool pool(wear);
@@ -172,7 +239,7 @@ TEST(ColdSectorIndexTest, MatchesScanUnderRandomChurn) {
   constexpr Duration kMinAge = 500;
   Rng rng(9);
   std::vector<ShadowSector> sectors(kSectors);
-  ColdSectorIndex index(kSectors);
+  ColdSectorIndex index;
   SimTime now = 0;
 
   for (int step = 0; step < 5000; ++step) {
